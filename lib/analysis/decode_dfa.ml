@@ -196,7 +196,14 @@ let run t ~width w =
    window of stream bits force every decoder state into lock-step? — is
    answered over unrestricted words (rejects become a shared absorbing
    error state): if every state pair is mergeable within d bits, a
-   synchronizing sequence of at most (live-1)*d bits exists. *)
+   synchronizing sequence of at most (live-1)*d bits exists.
+
+   Pair graphs are not small: a `full` book has 3-13 k DFA states, about
+   half of them live, so up to ~4x10^7 state pairs.  Everything below therefore runs over flat
+   integer tables built once per DFA — a successor table over live ids
+   and per-bit predecessor lists — and touches each pair edge a bounded
+   number of times: O(n^2 + edges) time, one n^2 int array and two
+   n^2-bit candidate sets of memory. *)
 
 type sync = {
   live_states : int;
@@ -209,11 +216,6 @@ type sync = {
       (** upper bound on a universal synchronizing sequence *)
 }
 
-(* step with wrap: entering an emitting state restarts at the root. *)
-let step t s b =
-  let x = t.next.((2 * s) + b) in
-  if x < 0 then None else if t.emit.(x) >= 0 then Some 0 else Some x
-
 let certify_sync t =
   (* Live (internal) states, renumbered densely; the root is live. *)
   let live = Array.make t.nstates (-1) in
@@ -225,228 +227,322 @@ let certify_sync t =
     end
   done;
   let nlive = !nlive in
-  let back = Array.make nlive 0 in
-  Array.iteri (fun s l -> if l >= 0 then back.(l) <- s) live;
-  let pid u v = (live.(u) * nlive) + live.(v) in
+  (* Successor table over live ids, su.(2l+b): entering an emitting state
+     restarts at the root (live id 0); a missing edge enters the Error
+     pseudo-state [err], which loops on both bits.  [err] joins the state
+     universe only when some live state has a missing edge, i.e. when it
+     is actually reachable; for complete codes (every Huffman book is) it
+     would otherwise poison the mergeability check with unreachable
+     pairs. *)
+  let err = nlive in
+  let su = Array.make (2 * (nlive + 1)) err in
+  let has_reject = ref false in
+  for s = 0 to t.nstates - 1 do
+    let l = live.(s) in
+    if l >= 0 then
+      for b = 0 to 1 do
+        let x = t.next.((2 * s) + b) in
+        if x < 0 then has_reject := true
+        else su.((2 * l) + b) <- (if t.emit.(x) >= 0 then 0 else live.(x))
+      done
+  done;
+  let n = if !has_reject then nlive + 1 else nlive in
+  (* Per-bit predecessor lists (CSR): the states stepping into x on bit b
+     are pred.(b*n + i) for poff.(b*(n+1) + x) <= i < poff.(b*(n+1) + x+1). *)
+  let poff = Array.make (2 * (n + 1)) 0 and pred = Array.make (2 * n) 0 in
+  for b = 0 to 1 do
+    let o = b * (n + 1) in
+    for s = 0 to n - 1 do
+      let x = o + su.((2 * s) + b) + 1 in
+      poff.(x) <- poff.(x) + 1
+    done;
+    for x = 1 to n do
+      poff.(o + x) <- poff.(o + x) + poff.(o + x - 1)
+    done;
+    let fill = Array.sub poff o n in
+    for s = 0 to n - 1 do
+      let x = su.((2 * s) + b) in
+      pred.((b * n) + fill.(x)) <- s;
+      fill.(x) <- fill.(x) + 1
+    done
+  done;
+  (* Pair (u, v) has index u*n + v; [tbl] maps pair indices to the dense
+     reachable-pair numbering, and is reused for merge distances below. *)
+  let npairs = n * n in
+  let tbl = Array.make npairs (-1) in
   (* ---- flip-reachable pair graph, clean component valid ---------- *)
-  (* 0 = unseen, 1 = reachable.  Absorbing outcomes are not stored. *)
-  let npairs = nlive * nlive in
-  let seen = Bytes.make npairs '\000' in
-  let q = Queue.create () in
+  (* u: clean decoder, v: corrupted; equal means merged (absorbed).
+     [pairs] lists the reachable pairs in discovery order and doubles as
+     the BFS queue; absorbing outcomes are not stored. *)
+  let pairs = ref (Array.make 256 0) and nr = ref 0 in
   let add u v =
-    (* u: clean decoder, v: corrupted; equal means merged (absorbed). *)
     if u <> v then begin
-      let p = pid u v in
-      if Bytes.get seen p = '\000' then begin
-        Bytes.set seen p '\001';
-        Queue.add (u, v) q
+      let p = (u * n) + v in
+      if tbl.(p) < 0 then begin
+        if !nr = Array.length !pairs then begin
+          let a = Array.make (2 * !nr) 0 in
+          Array.blit !pairs 0 a 0 !nr;
+          pairs := a
+        end;
+        !pairs.(!nr) <- p;
+        tbl.(p) <- !nr;
+        incr nr
       end
     end
   in
-  for s = 0 to t.nstates - 1 do
-    if t.emit.(s) < 0 then
-      match (step t s 0, step t s 1) with
-      | Some u, Some v ->
-          (* flip of the bit consumed at s, both directions *)
-          add u v;
-          add v u
-      | _ -> ()
-      (* a missing sibling edge: the corrupted stream rejects on the
-         flipped bit itself — detected within one bit, nothing to add *)
+  for s = 0 to nlive - 1 do
+    let u = su.(2 * s) and v = su.((2 * s) + 1) in
+    (* flip of the bit consumed at s, both directions; a missing sibling
+       edge: the corrupted stream rejects on the flipped bit itself —
+       detected within one bit, nothing to add *)
+    if u <> err && v <> err then begin
+      add u v;
+      add v u
+    end
   done;
-  let initial = Queue.fold (fun acc p -> p :: acc) [] q in
-  while not (Queue.is_empty q) do
-    let u, v = Queue.pop q in
+  let ninitial = !nr in
+  let i = ref 0 in
+  while !i < !nr do
+    let p = !pairs.(!i) in
+    let u = p / n and v = p mod n in
     for b = 0 to 1 do
-      match step t u b with
-      | None -> ()  (* the valid stream cannot contain b here *)
-      | Some u' -> (
-          match step t v b with
-          | None -> ()  (* detected: absorbing *)
-          | Some v' -> add u' v')
-    done
+      let u' = su.((2 * u) + b) in
+      (* u' = err: the valid stream cannot contain b here;
+         v' = err: detected, absorbing *)
+      if u' <> err then begin
+        let v' = su.((2 * v) + b) in
+        if v' <> err then add u' v'
+      end
+    done;
+    incr i
   done;
-  let reachable = ref [] in
-  for p = 0 to npairs - 1 do
-    if Bytes.get seen p = '\001' then reachable := p :: !reachable
-  done;
-  let reachable = !reachable in
-  (* Co-reachability of an absorbing outcome, by reverse fixpoint: a pair
-     is good if some valid transition is absorbing or leads to a good
-     pair.  Iterate to fixpoint (graphs here are small). *)
-  let good = Bytes.make npairs '\000' in
-  let absorbing_from u v =
-    let out = ref false in
+  let nr = !nr and pairs = !pairs in
+  (* Dense successor edges: out.(2r+b) is the successor pair on bit b,
+     [absorbed] if that bit merges or is detected, [no_edge] if the valid
+     stream cannot contain it.  Reverse edges in CSR form (ridx/roff). *)
+  let no_edge = -1 and absorbed = -2 in
+  let out = Array.make (2 * nr) no_edge in
+  let roff = Array.make (nr + 1) 0 in
+  for r = 0 to nr - 1 do
+    let p = pairs.(r) in
+    let u = p / n and v = p mod n in
     for b = 0 to 1 do
-      match step t u b with
-      | None -> ()
-      | Some u' -> (
-          match step t v b with
-          | None -> out := true  (* detected *)
-          | Some v' -> if u' = v' then out := true)
-    done;
-    !out
-  in
-  List.iter
-    (fun p ->
-      let u = back.(p / nlive) and v = back.(p mod nlive) in
-      if absorbing_from u v then Bytes.set good p '\001')
-    reachable;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun p ->
-        if Bytes.get good p = '\000' then begin
-          let u = back.(p / nlive) and v = back.(p mod nlive) in
-          let escapes = ref false in
-          for b = 0 to 1 do
-            match (step t u b, step t v b) with
-            | Some u', Some v' when u' <> v' ->
-                if Bytes.get good (pid u' v') = '\001' then escapes := true
-            | _ -> ()
-          done;
-          if !escapes then begin
-            Bytes.set good p '\001';
-            changed := true
-          end
-        end)
-      reachable
-  done;
-  let recoverable =
-    List.for_all (fun p -> Bytes.get good p = '\001') reachable
-  in
-  (* Worst-case bits to absorption: longest path over the reachable pair
-     graph; a cycle means unbounded.  DFS with colors + memoized longest
-     suffix (edges to absorption count 1 bit; the flipped bit itself is
-     bit 1). *)
-  let color = Bytes.make npairs '\000' in
-  (* 0 unvisited, 1 on stack, 2 done *)
-  let longest = Array.make npairs 0 in
-  let exception Cycle in
-  let rec dfs p =
-    match Bytes.get color p with
-    | '\001' -> raise Cycle
-    | '\002' -> longest.(p)
-    | _ ->
-        Bytes.set color p '\001';
-        let u = back.(p / nlive) and v = back.(p mod nlive) in
-        let best = ref 0 in
-        for b = 0 to 1 do
-          match step t u b with
-          | None -> ()
-          | Some u' -> (
-              match step t v b with
-              | None -> best := max !best 1
-              | Some v' ->
-                  if u' = v' then best := max !best 1
-                  else best := max !best (1 + dfs (pid u' v')))
-        done;
-        Bytes.set color p '\002';
-        longest.(p) <- !best;
-        !best
-  in
-  let resync_bits =
-    if not recoverable then None
-    else
-      try
-        Some
-          (List.fold_left
-             (fun a (u, v) -> max a (1 + dfs (pid u v)))
-             1 initial)
-        (* at least 1: the flipped bit itself, detected or re-merged *)
-      with Cycle -> None
-  in
-  (* ---- synchronizing sequence, unrestricted words ----------------- *)
-  (* Pair distance = a word length making the two components equal;
-     iterated sweeps over the reverse pair graph from the merged
-     frontier.  An absorbing Error pseudo-state stands for "reject
-     detected" — it joins the universe only when some live state has a
-     missing edge, i.e. when it is actually reachable; for complete
-     codes (every Huffman book is) it would otherwise poison the
-     mergeability check with unreachable pairs. *)
-  let has_reject =
-    let r = ref false in
-    for s = 0 to t.nstates - 1 do
-      if t.emit.(s) < 0
-         && (t.next.(2 * s) < 0 || t.next.((2 * s) + 1) < 0)
-      then r := true
-    done;
-    !r
-  in
-  let nlive' = if has_reject then nlive + 1 else nlive in
-  let err = nlive in
-  let stepu s b = if s = err then err
-    else match step t back.(s) b with None -> err | Some x -> live.(x)
-  in
-  let npairs' = nlive' * nlive' in
-  let dist = Array.make npairs' (-1) in
-  let qq = Queue.create () in
-  (* Frontier: pairs that merge in one bit. *)
-  for a = 0 to nlive' - 1 do
-    for b' = 0 to nlive' - 1 do
-      if a <> b' then
-        for bit = 0 to 1 do
-          let p = (a * nlive') + b' in
-          if dist.(p) < 0 && stepu a bit = stepu b' bit then begin
-            dist.(p) <- 1;
-            Queue.add p qq
-          end
-        done
-    done
-  done;
-  (* Reverse edges by forward scan per BFS level (graphs are small). *)
-  let pending = ref (npairs' - nlive') in
-  let count_known () =
-    let k = ref 0 in
-    Array.iter (fun d -> if d >= 0 then incr k) dist;
-    !k
-  in
-  pending := npairs' - nlive' - count_known ();
-  let progress = ref true in
-  while !pending > 0 && !progress do
-    progress := false;
-    for a = 0 to nlive' - 1 do
-      for b' = 0 to nlive' - 1 do
-        if a <> b' then begin
-          let p = (a * nlive') + b' in
-          if dist.(p) < 0 then
-            for bit = 0 to 1 do
-              let a' = stepu a bit and b2 = stepu b' bit in
-              if a' <> b2 then begin
-                let p' = (a' * nlive') + b2 in
-                if dist.(p') >= 0
-                   && (dist.(p) < 0 || dist.(p) > dist.(p') + 1)
-                then begin
-                  if dist.(p) < 0 then begin
-                    decr pending;
-                    progress := true
-                  end;
-                  dist.(p) <- dist.(p') + 1
-                end
-              end
-            done
+      let u' = su.((2 * u) + b) in
+      if u' <> err then begin
+        let v' = su.((2 * v) + b) in
+        if v' = err || u' = v' then out.((2 * r) + b) <- absorbed
+        else begin
+          let r' = tbl.((u' * n) + v') in
+          out.((2 * r) + b) <- r';
+          roff.(r' + 1) <- roff.(r' + 1) + 1
         end
-      done
-    done
-  done;
-  let all_mergeable = ref true and maxd = ref 0 in
-  for a = 0 to nlive' - 1 do
-    for b' = 0 to nlive' - 1 do
-      if a <> b' then begin
-        let d = dist.((a * nlive') + b') in
-        if d < 0 then all_mergeable := false else maxd := max !maxd d
       end
     done
   done;
+  for r = 1 to nr do
+    roff.(r) <- roff.(r) + roff.(r - 1)
+  done;
+  let ridx = Array.make roff.(nr) 0 in
+  let fill = Array.sub roff 0 nr in
+  for e = 0 to (2 * nr) - 1 do
+    let r' = out.(e) in
+    if r' >= 0 then begin
+      ridx.(fill.(r')) <- e / 2;
+      fill.(r') <- fill.(r') + 1
+    end
+  done;
+  (* Co-reachability of an absorbing outcome: a pair is good if some
+     valid transition is absorbing or leads to a good pair.  Reverse-edge
+     worklist from the absorbing pairs. *)
+  let good = Bytes.make nr '\000' in
+  let work = Array.make nr 0 and top = ref 0 in
+  let mark r =
+    if Bytes.get good r = '\000' then begin
+      Bytes.set good r '\001';
+      work.(!top) <- r;
+      incr top
+    end
+  in
+  for r = 0 to nr - 1 do
+    if out.(2 * r) = absorbed || out.((2 * r) + 1) = absorbed then mark r
+  done;
+  let ngood = ref 0 in
+  while !top > 0 do
+    decr top;
+    let r = work.(!top) in
+    incr ngood;
+    for e = roff.(r) to roff.(r + 1) - 1 do
+      mark ridx.(e)
+    done
+  done;
+  let recoverable = !ngood = nr in
+  (* Worst-case bits to absorption: longest path over the reachable pair
+     graph; a cycle means unbounded.  Kahn's order from the sinks: a pair
+     is settled once all its successor pairs are, so an unsettled pair
+     at the end lies on or above a cycle.  An edge to absorption counts
+     1 bit; the flipped bit itself is bit 1. *)
+  let outdeg = Array.make nr 0 in
+  for e = 0 to (2 * nr) - 1 do
+    if out.(e) >= 0 then outdeg.(e / 2) <- outdeg.(e / 2) + 1
+  done;
+  let longest = Array.make nr 0 in
+  let head = ref 0 and tail = ref 0 in
+  for r = 0 to nr - 1 do
+    if outdeg.(r) = 0 then begin
+      work.(!tail) <- r;
+      incr tail
+    end
+  done;
+  while !head < !tail do
+    let r = work.(!head) in
+    incr head;
+    let best = ref 0 in
+    for b = 0 to 1 do
+      let r' = out.((2 * r) + b) in
+      if r' = absorbed then best := Int.max !best 1
+      else if r' >= 0 then best := Int.max !best (1 + longest.(r'))
+    done;
+    longest.(r) <- !best;
+    for e = roff.(r) to roff.(r + 1) - 1 do
+      let q = ridx.(e) in
+      outdeg.(q) <- outdeg.(q) - 1;
+      if outdeg.(q) = 0 then begin
+        work.(!tail) <- q;
+        incr tail
+      end
+    done
+  done;
+  let resync_bits =
+    if (not recoverable) || !tail < nr then None
+    else begin
+      (* at least 1: the flipped bit itself, detected or re-merged *)
+      let w = ref 1 in
+      for r = 0 to ninitial - 1 do
+        w := Int.max !w (1 + longest.(r))
+      done;
+      Some !w
+    end
+  in
+  (* ---- synchronizing sequence, unrestricted words ----------------- *)
+  (* dist(p) = a word length making the two components equal, fixed at
+     p's first relaxation.  The relaxation replays a sweep order: pairs
+     merging in one bit get 1; then each sweep visits the unset pairs in
+     ascending index and sets each to 1 + the least distance among its
+     successors set by that moment.  That order makes dist an upper
+     bound on the shortest merge distance, not always equal to it, and
+     the certified sync_word_bits values are defined by it, so the order
+     is kept.  A sweep visits only candidates: a pair set at index p
+     marks its unset predecessors — those above p for the running sweep,
+     the rest for the next — and folds 1 + dist(p) into their pending
+     value, so by the time a candidate is visited its pending value is
+     exactly the minimum over the successors set so far.
+     Encoding in [dist]: 0 unset, -d unset with pending value d, d set. *)
+  Array.fill tbl 0 npairs 0;
+  let dist = tbl in
+  let nbytes = (npairs + 7) / 8 in
+  let cur = ref (Bytes.make nbytes '\000')
+  and nxt = ref (Bytes.make nbytes '\000') in
+  (* whether another sweep is due: the next one has candidates *)
+  let queued = ref true in
+  (* set pairs so far, and their largest distance *)
+  let nset = ref 0 and maxd = ref 0 in
+  let set_bit bs q =
+    let k = q lsr 3 in
+    Bytes.unsafe_set bs k
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get bs k) lor (1 lsl (q land 7))))
+  in
+  (* Pair (a, c) was just set to [d] at index [p] (-1 before the first
+     sweep); an unset predecessor is marked once, for the running sweep if
+     it lies above [p] and for the next one otherwise.  Predecessors of an
+     unmerged pair are unmerged (a shared predecessor would step into a
+     single state), so no diagonal pair is ever marked. *)
+  let mark_preds a c d ~p =
+    let d = -(d + 1) in
+    for b = 0 to 1 do
+      let o = b * (n + 1) in
+      for i = poff.(o + a) to poff.(o + a + 1) - 1 do
+        let a0 = pred.((b * n) + i) in
+        for j = poff.(o + c) to poff.(o + c + 1) - 1 do
+          let c0 = pred.((b * n) + j) in
+          let q = (a0 * n) + c0 in
+          let e = dist.(q) in
+          if e = 0 then begin
+            dist.(q) <- d;
+            if q > p then set_bit !cur q
+            else begin
+              set_bit !nxt q;
+              queued := true
+            end
+          end
+          else if e < d then dist.(q) <- d
+        done
+      done
+    done
+  in
+  (* Frontier: pairs that merge in one bit, i.e. two states sharing a
+     successor on some bit — every ordered pair within a predecessor
+     list.  All of them are set before the first sweep, so their
+     predecessors are marked afterwards, all for that sweep. *)
+  let frontier f =
+    for b = 0 to 1 do
+      let o = b * (n + 1) in
+      for x = 0 to n - 1 do
+        for i = poff.(o + x) to poff.(o + x + 1) - 1 do
+          for j = poff.(o + x) to poff.(o + x + 1) - 1 do
+            if i <> j then f pred.((b * n) + i) pred.((b * n) + j)
+          done
+        done
+      done
+    done
+  in
+  frontier (fun a c ->
+      if dist.((a * n) + c) = 0 then begin
+        dist.((a * n) + c) <- 1;
+        incr nset;
+        maxd := 1
+      end);
+  frontier (fun a c -> mark_preds a c 1 ~p:(-1));
+  (* Sweeps.  Candidates are visited in ascending index; a visit only
+     marks the running sweep above itself, so re-reading the byte picks
+     up marks made in it.  [a], [c] track the components of the visited
+     index [q] without a division per visit. *)
+  while !queued do
+    queued := false;
+    let bs = !cur in
+    let a = ref 0 and c = ref 0 and q0 = ref 0 in
+    for k = 0 to nbytes - 1 do
+      if Bytes.unsafe_get bs k <> '\000' then begin
+        for j = 0 to 7 do
+          if Char.code (Bytes.unsafe_get bs k) land (1 lsl j) <> 0 then begin
+            let q = (k lsl 3) + j in
+            c := !c + (q - !q0);
+            q0 := q;
+            if !c >= n then begin
+              a := !a + (!c / n);
+              c := !c mod n
+            end;
+            let d = - dist.(q) in
+            dist.(q) <- d;
+            incr nset;
+            if d > !maxd then maxd := d;
+            mark_preds !a !c d ~p:q
+          end
+        done;
+        Bytes.unsafe_set bs k '\000'
+      end
+    done;
+    (* [bs] is empty again; the next sweep's candidates become current. *)
+    cur := !nxt;
+    nxt := bs
+  done;
   let sync_word_bits =
     if nlive <= 1 then Some 0
-    else if !all_mergeable then Some ((nlive' - 1) * !maxd)
+    else if !nset = n * (n - 1) then Some ((n - 1) * !maxd)
     else None
   in
   {
     live_states = nlive;
-    pairs_reachable = List.length reachable;
+    pairs_reachable = nr;
     recoverable;
     resync_bits;
     sync_word_bits;

@@ -77,10 +77,24 @@ type sync = {
   sync_word_bits : int option;
       (** upper bound on the length of a universal synchronizing bit
           sequence (forces {e every} decoder state into lock-step);
-          [None] if no such sequence exists — e.g. fixed-length codes *)
+          [None] if no such sequence exists — e.g. fixed-length codes.
+
+          The bound is [(n-1) * d] over the [n] decoder states (live
+          states, plus an Error state when some prefix rejects), where
+          [d] is the largest per-pair merge distance found by an
+          index-order relaxation: each pair's distance is fixed at its
+          first relaxation, visiting pairs in ascending index sweep
+          after sweep.  That is a valid bound (every pair does merge
+          within its distance), but it can exceed the bound shortest
+          merge distances give: 1148 against 984 bits on ijpeg's
+          [stream]/[stream2] book.  The cccs-certify/1 values are
+          defined by this relaxation, so tightening it would change
+          published certificates and is deliberately not done. *)
 }
 
 val certify_sync : t -> sync
 (** Exhaustive analysis of the pair automaton under the single-bit
     substitution fault model (the W107 model), yielding proven rather
-    than empirical resynchronization bounds. *)
+    than empirical resynchronization bounds.  Over [n] live states it
+    takes O(n{^2} + pair edges) time and one [n{^2}] int array of
+    memory. *)

@@ -103,6 +103,143 @@ let test_dfa_sync () =
     "fixed-length code has no synchronizing sequence" true
     (s.D.sync_word_bits = None)
 
+(* Resynchronization bounds a reader can check by hand.
+   {0 -> "0", 1 -> "10", 2 -> "110"}, "111" unassigned: live states are
+   the root R and the mid-codeword states A ("1") and B ("11").  A flip
+   at R gives (R,A)/(A,R), one at A gives (R,B)/(B,R); from those the
+   clean bits reach (A,B) and (B,A), and every pair merges on a 0 or is
+   detected on a 1 within two more bits: 6 pairs, worst case 3 bits
+   (the flip at R, then "1" to (A,B), then "1" detected).  The complete
+   [tiny] book instead cycles (R,A) -1-> (A,R) -1-> (R,A): a clean run of
+   1s keeps the decoders one bit apart forever. *)
+let test_dfa_resync_bounds () =
+  let s = D.certify_sync (build [ (0, 0b0, 1); (1, 0b10, 2); (2, 0b110, 3) ]) in
+  Alcotest.(check int) "pairs reachable" 6 s.D.pairs_reachable;
+  Alcotest.(check bool) "recoverable" true s.D.recoverable;
+  Alcotest.(check (option int)) "resync bits" (Some 3) s.D.resync_bits;
+  let s = D.certify_sync (build tiny) in
+  Alcotest.(check int) "cyclic: pairs reachable" 2 s.D.pairs_reachable;
+  Alcotest.(check bool) "cyclic: recoverable" true s.D.recoverable;
+  Alcotest.(check (option int)) "cyclic: unbounded" None s.D.resync_bits
+
+(* ---------------------------------------------------------------- *)
+(* certify_sync against the reference sweep (Sync_reference)         *)
+(* ---------------------------------------------------------------- *)
+
+let pp_sync ppf (s : D.sync) =
+  let opt ppf = function
+    | None -> Fmt.string ppf "None"
+    | Some v -> Fmt.pf ppf "Some %d" v
+  in
+  Fmt.pf ppf
+    "{live=%d; pairs=%d; recoverable=%b; resync=%a; sync_word=%a}"
+    s.D.live_states s.D.pairs_reachable s.D.recoverable opt s.D.resync_bits
+    opt s.D.sync_word_bits
+
+let sync_t = Alcotest.testable pp_sync ( = )
+
+let sync_pair codes =
+  let max_len = List.fold_left (fun a (_, _, l) -> max a l) 1 codes in
+  match D.of_codes ~max_len codes with
+  | Error c -> Alcotest.failf "of_codes: %s" (D.conflict_to_string c)
+  | Ok t ->
+      (D.certify_sync t, Sync_reference.certify_sync (Sync_reference.of_codes codes))
+
+(* Every distinct book of every scheme of two SPEC profiles.  ijpeg's
+   stream/stream2 book pins the order dependence: the reference sweep
+   certifies a 1148-bit synchronizing word where shortest merge
+   distances would give 984, and certificates carry the former. *)
+let test_sync_matches_reference () =
+  let checked = Hashtbl.create 64 and pinned = ref false in
+  List.iter
+    (fun name ->
+      let e =
+        match Workloads.Suite.find name with
+        | Some e -> e
+        | None -> Alcotest.failf "no workload %s" name
+      in
+      let t = Cccs.Analysis.target_of_run (Cccs.Workload_run.load e) in
+      List.iter
+        (fun (sc : Scheme.t) ->
+          List.iter
+            (fun (book, cb) ->
+              let codes =
+                Huffman.Canonical.to_list (Huffman.Codebook.canonical cb)
+              in
+              let got =
+                match Hashtbl.find_opt checked codes with
+                | Some got -> got
+                | None ->
+                    let got, want = sync_pair codes in
+                    Alcotest.check sync_t
+                      (Printf.sprintf "%s %s %s" name sc.Scheme.name book)
+                      want got;
+                    Hashtbl.add checked codes got;
+                    got
+              in
+              if name = "ijpeg" && sc.Scheme.name = "stream" && book = "stream2"
+              then begin
+                pinned := true;
+                Alcotest.(check (option int))
+                  "ijpeg stream/stream2 sync word" (Some 1148)
+                  got.D.sync_word_bits
+              end)
+            sc.Scheme.books)
+        t.A.Pass.schemes)
+    [ "compress"; "ijpeg" ];
+  Alcotest.(check bool) "ijpeg stream/stream2 book checked" true !pinned
+
+(* Random prefix codes of three kinds: complete (split random leaves of
+   a trie), incomplete (the same with codewords dropped, so the Error
+   pseudo-state is in play) and fixed-length (no synchronizing word). *)
+type kind = Complete | Incomplete | Fixed
+
+let gen_code =
+  let open QCheck.Gen in
+  let complete st ~splits =
+    let leaves = ref [ (0, 0) ] in
+    for _ = 1 to splits do
+      let ok = List.filter (fun (_, l) -> l < 10) !leaves in
+      if ok <> [] then begin
+        let c, l = List.nth ok (Random.State.int st (List.length ok)) in
+        leaves :=
+          ((2 * c) + 1, l + 1) :: (2 * c, l + 1)
+          :: List.filter (fun x -> x <> (c, l)) !leaves
+      end
+    done;
+    !leaves
+  in
+  oneofl [ Complete; Incomplete; Fixed ] >>= fun kind ->
+  int_range 1 40 >>= fun splits st ->
+  let leaves =
+    match kind with
+    | Complete -> complete st ~splits
+    | Incomplete -> (
+        let all = complete st ~splits in
+        match List.filter (fun _ -> Random.State.int st 3 > 0) all with
+        | [] -> [ List.hd all ]
+        | kept -> kept)
+    | Fixed ->
+        let len = 2 + (splits mod 4) in
+        List.init (1 lsl len) (fun c -> (c, len))
+  in
+  (kind, List.mapi (fun i (c, l) -> (i, c, l)) leaves)
+
+let prop_sync_matches_reference =
+  let print (kind, codes) =
+    Printf.sprintf "%s [%s]"
+      (match kind with
+      | Complete -> "complete"
+      | Incomplete -> "incomplete"
+      | Fixed -> "fixed")
+      (String.concat "; "
+         (List.map (fun (s, c, l) -> Printf.sprintf "%d:%d/%d" s c l) codes))
+  in
+  QCheck.Test.make ~name:"certify_sync = reference sweep on random codes"
+    ~count:300 (QCheck.make ~print gen_code) (fun (kind, codes) ->
+      let got, want = sync_pair codes in
+      got = want && (kind <> Fixed || got.D.sync_word_bits = None))
+
 (* ---------------------------------------------------------------- *)
 (* Certification: positive path                                      *)
 (* ---------------------------------------------------------------- *)
@@ -364,6 +501,11 @@ let suite =
     Alcotest.test_case "DFA replay oracle" `Quick test_dfa_run;
     Alcotest.test_case "DFA structural conflicts" `Quick test_dfa_conflicts;
     Alcotest.test_case "DFA synchronization" `Quick test_dfa_sync;
+    Alcotest.test_case "DFA resynchronization bounds" `Quick
+      test_dfa_resync_bounds;
+    Alcotest.test_case "certify_sync = reference on SPEC books" `Quick
+      test_sync_matches_reference;
+    QCheck_alcotest.to_alcotest prop_sync_matches_reference;
     Alcotest.test_case "all schemes certify clean" `Quick
       test_certify_clean_all;
     Alcotest.test_case "protected scheme certifies clean" `Quick
