@@ -476,6 +476,20 @@ let pass_seed decode data nsyms =
    external noise (scheduler steal on a shared box) only ever slows a
    window down, so the max is the least-perturbed estimate, and
    interleaving keeps a noise burst from taxing only one side. *)
+(* One timing window: repeat [pass] for 0.2 s and return passes per
+   second.  Every pass result is checked against [expect]. *)
+let window ~expect pass =
+  let t0 = now () in
+  let passes = ref 0 and elapsed = ref 0.0 in
+  while !elapsed < 0.2 do
+    if pass () <> expect then failwith "bench perf: decode mismatch";
+    incr passes;
+    elapsed := now () -. t0
+  done;
+  float_of_int !passes /. !elapsed
+
+let windows_per_row = 5
+
 let throughput book data nsyms =
   let seed = seed_decoder book in
   let expect = pass_table book data nsyms in
@@ -483,19 +497,10 @@ let throughput book data nsyms =
     failwith "bench perf: serial/table decode mismatch";
   if pass_seed seed data nsyms <> expect then
     failwith "bench perf: seed/table decode mismatch";
-  let bytes = float_of_int (String.length data) in
-  let window pass =
-    let t0 = now () in
-    let passes = ref 0 and elapsed = ref 0.0 in
-    while !elapsed < 0.2 do
-      if pass () <> expect then failwith "bench perf: decode mismatch";
-      incr passes;
-      elapsed := now () -. t0
-    done;
-    float_of_int !passes *. bytes /. 1e6 /. !elapsed
-  in
+  let mb = float_of_int (String.length data) /. 1e6 in
+  let window pass = mb *. window ~expect pass in
   let wt = ref [] and ws = ref [] and w0 = ref [] in
-  for _ = 1 to 5 do
+  for _ = 1 to windows_per_row do
     wt := window (fun () -> pass_table book data nsyms) :: !wt;
     ws := window (fun () -> pass_serial book data nsyms) :: !ws;
     w0 := window (fun () -> pass_seed seed data nsyms) :: !w0
@@ -526,6 +531,92 @@ let perf_decode () =
            throughput book data nsyms
          in
          { scheme; table_mb_s; serial_mb_s; seed_mb_s; table_windows })
+
+(* ------------------------------------------------------------------ *)
+(* perf/layer: the layers under a whole-image decode, per op.          *)
+(* [codec] times the 40-bit op codec alone over every op of the        *)
+(* program: [of_int] (word to op), [to_int] (op to word) and [decode]  *)
+(* (op read from the baseline image).  [walk/<scheme>] times the       *)
+(* checked block walk of one scheme's image, which includes its symbol *)
+(* decode and op codec.  Every layer runs in the perf/decode windows,  *)
+(* interleaved; a row reports the best window and carries every window *)
+(* as a sample.                                                        *)
+(* ------------------------------------------------------------------ *)
+
+type layer_perf = { layer : string; ns_per_op : float; ns_samples : float list }
+
+let walk_pass (sc : Encoding.Scheme.t) () =
+  let r = Bits.Reader.of_string sc.Encoding.Scheme.image in
+  let ops = ref 0 in
+  Array.iteri
+    (fun i off ->
+      Bits.Reader.seek r off;
+      match Encoding.Scheme.decode_block_checked_at sc r i with
+      | Ok l -> ops := !ops + List.length l
+      | Error e -> failwith (Encoding.Scheme.decode_error_to_string e))
+    sc.Encoding.Scheme.block_offset_bits;
+  !ops
+
+let perf_layers () =
+  let prog = program () in
+  let ops = Array.of_list (Tepic.Program.all_ops prog) in
+  let nops = Array.length ops in
+  let words = Array.map Tepic.Encode.to_int ops in
+  let image = Tepic.Encode.encode_ops (Array.to_list ops) in
+  if Array.map Tepic.Encode.of_int words <> ops then
+    failwith "bench perf: op codec round trip differs";
+  let s = Cccs.Experiments.schemes_of (Lazy.force fixture) in
+  let schemes =
+    Cccs.Experiments.all_schemes s
+    @ [
+        ("dict", s.Cccs.Experiments.dict);
+        ( "full+crc16",
+          Encoding.Scheme.protect Encoding.Scheme.Crc16 s.Cccs.Experiments.full );
+      ]
+  in
+  (* Each pass returns the number of ops it handled: the checked result. *)
+  let layers =
+    [
+      ( "codec/of_int",
+        fun () ->
+          Array.iter
+            (fun w -> ignore (Sys.opaque_identity (Tepic.Encode.of_int w)))
+            words;
+          nops );
+      ( "codec/to_int",
+        fun () ->
+          Array.iter
+            (fun op -> ignore (Sys.opaque_identity (Tepic.Encode.to_int op)))
+            ops;
+          nops );
+      ( "codec/decode",
+        fun () ->
+          let r = Bits.Reader.of_string image in
+          for _ = 1 to nops do
+            ignore (Sys.opaque_identity (Tepic.Encode.decode r))
+          done;
+          nops );
+    ]
+    @ List.map (fun (name, sc) -> ("walk/" ^ name, walk_pass sc)) schemes
+  in
+  List.iter (fun (_, pass) -> ignore (pass ())) layers;
+  let samples = List.map (fun (name, _) -> (name, ref [])) layers in
+  for _ = 1 to windows_per_row do
+    List.iter
+      (fun (name, pass) ->
+        let ns = 1e9 /. (window ~expect:nops pass *. float_of_int nops) in
+        let l = List.assoc name samples in
+        l := ns :: !l)
+      layers
+  done;
+  List.map
+    (fun (layer, l) ->
+      {
+        layer;
+        ns_per_op = List.fold_left Float.min infinity !l;
+        ns_samples = List.rev !l;
+      })
+    samples
 
 (* ------------------------------------------------------------------ *)
 (* perf/pardecode: speculative parallel decode of one compressed image *)
@@ -693,8 +784,16 @@ let write_perf_rows ~prefixes rows =
   Printf.printf "wrote %d rows to BENCH_perf.json (%d kept)\n"
     (List.length rows) (List.length existing)
 
-let write_perf decode_rows ~pardecode_rows ~s1 ~s4 ~cores =
+let write_perf decode_rows ~layer_rows ~pardecode_rows ~s1 ~s4 ~cores =
   let open Cccs_obs.Json in
+  let layer_json l =
+    Obj
+      [
+        ("name", Str ("perf/layer/" ^ l.layer));
+        ("ns_per_op", Num l.ns_per_op);
+        ("samples", Arr (List.map (fun x -> Num x) l.ns_samples));
+      ]
+  in
   let pardecode_json p =
     Obj
       [
@@ -728,6 +827,7 @@ let write_perf decode_rows ~pardecode_rows ~s1 ~s4 ~cores =
   let pardecode_json_rows = List.map pardecode_json pardecode_rows in
   let rows =
     List.map decode_json decode_rows
+    @ List.map layer_json layer_rows
     @ pardecode_json_rows
     @ [
         Obj [ ("name", Str "perf/sweep/jobs1"); ("seconds", Num s1) ];
@@ -741,7 +841,7 @@ let write_perf decode_rows ~pardecode_rows ~s1 ~s4 ~cores =
       ]
   in
   write_perf_rows
-    ~prefixes:[ "perf/decode/"; "perf/pardecode/"; "perf/sweep/" ]
+    ~prefixes:[ "perf/decode/"; "perf/layer/"; "perf/pardecode/"; "perf/sweep/" ]
     rows;
   ledger_append ~kind:"bench_perf"
     ~schemes:(List.map (fun d -> d.scheme) decode_rows)
@@ -768,6 +868,11 @@ let run_perf () =
         d.seed_mb_s
         (d.table_mb_s /. d.seed_mb_s))
     decode_rows;
+  let layer_rows = bspan "layer" perf_layers in
+  List.iter
+    (fun l ->
+      Printf.printf "perf/layer/%-18s %8.1f ns/op\n%!" l.layer l.ns_per_op)
+    layer_rows;
   let pardecode_rows = bspan "pardecode" perf_pardecode in
   List.iter
     (fun p ->
@@ -797,7 +902,7 @@ let run_perf () =
          "bench perf: sweep jobs=4 (%.2fs) lost to jobs=1 (%.2fs) past the \
           %.2fx never-lose bound (%d cores)"
          s4 s1 never_lose_factor cores);
-  write_perf decode_rows ~pardecode_rows ~s1 ~s4 ~cores
+  write_perf decode_rows ~layer_rows ~pardecode_rows ~s1 ~s4 ~cores
 
 (* ------------------------------------------------------------------ *)
 (* fuzz group: campaign throughput and bounded-memory trace streaming. *)

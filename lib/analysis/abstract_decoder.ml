@@ -16,7 +16,7 @@ type strategy =
   | Byte of Huffman.Codebook.t
   | Stream of Tepic.Field_stream.t * Huffman.Codebook.t option array
   | Full of Huffman.Codebook.t
-  | Tailored_isa of Encoding.Tailored.spec
+  | Tailored_isa of Encoding.Tailored.plan
   | Dict of { entries : int list array; idx_bits : int }
 
 (* Why a decode step rejected the stream.  [Out_of_range] is separated
@@ -52,7 +52,7 @@ let strategy_of_scheme ?tailored ~program (sc : Encoding.Scheme.t) =
   | "full" -> Result.map (fun b -> Full b) (book "full")
   | "tailored" -> (
       match tailored with
-      | Some spec -> Ok (Tailored_isa spec)
+      | Some spec -> Ok (Tailored_isa (Encoding.Tailored.compile spec))
       | None -> Error "no tailored spec supplied for scheme tailored")
   | "dict" ->
       let entries = Encoding.Dictionary.entries_of_program program in
@@ -67,7 +67,7 @@ let strategy_of_scheme ?tailored ~program (sc : Encoding.Scheme.t) =
       match List.assoc_opt name Encoding.Stream_huffman.configs with
       | Some config ->
           let books =
-            Array.init config.Tepic.Field_stream.nstreams (fun s ->
+            Array.init (Tepic.Field_stream.nstreams config) (fun s ->
                 List.assoc_opt
                   (Printf.sprintf "stream%d" s)
                   sc.Encoding.Scheme.books)
@@ -91,81 +91,54 @@ let read_bits r width =
     | Some v -> Ok v
     | None -> Error Truncated
 
-let decode_tailored (spec : Encoding.Tailored.spec) r =
+let decode_tailored (plan : Encoding.Tailored.plan) r =
+  let module T = Encoding.Tailored in
+  let spec = plan.T.spec in
   let* tail = read_bits r 1 in
-  let* sp =
-    if spec.Encoding.Tailored.spec_bit then read_bits r 1 else Ok 0
-  in
+  let* sp = if spec.T.spec_bit then read_bits r 1 else Ok 0 in
   let* optc = read_bits r 2 in
   let ty = Tepic.Opcode.optype_of_code optc in
   let* omap =
-    match List.assoc_opt ty spec.Encoding.Tailored.opcode_maps with
+    match plan.T.opcode_maps_by_opt.(optc) with
     | Some m -> Ok m
-    | None ->
-        Error (Malformed "op type has no published opcode map")
+    | None -> Error (Malformed "op type has no published opcode map")
   in
-  let* oidx = read_bits r spec.Encoding.Tailored.opcode_bits in
+  let* oidx = read_bits r spec.T.opcode_bits in
   let* code = map_checked ~field:"OPCODE" omap oidx in
   let* opcode =
     match Tepic.Opcode.of_code ty code with
     | Some oc -> Ok oc
     | None -> Error (Malformed "undefined opcode point")
   in
-  let kind = Tepic.Opcode.kind opcode in
-  (* Pass 1: raw field bits — widths depend only on the format.  A field's
-     register file can depend on the later TCS field, so buffer first,
-     exactly like the reference decoder. *)
-  let* raws =
-    List.fold_left
-      (fun acc (fd : Tepic.Format_spec.field) ->
-        let* acc = acc in
-        let name = fd.Tepic.Format_spec.fname in
-        if List.mem name [ "T"; "S"; "OPT"; "OPCODE" ] then Ok acc
-        else if Encoding.Tailored.is_reserved name then Ok ((name, 0) :: acc)
-        else
-          let width = Encoding.Tailored.field_width spec kind fd in
-          let* v = read_bits r width in
-          Ok ((name, v) :: acc))
-      (Ok [])
-      (Tepic.Format_spec.layout kind)
-  in
-  let raws = List.rev raws in
+  let p = plan.T.ops.(Tepic.Opcode.index opcode) in
+  (* The whole body first: a field's register file can depend on the
+     later TCS field, exactly like the reference decoder. *)
+  let* body = read_bits r p.T.body_bits in
+  let raw f = T.field_raw f body in
   let* tcs =
-    match List.assoc_opt "TCS" raws with
-    | Some raw ->
-        map_checked ~field:"TCS" (Encoding.Tailored.field_map spec "TCS") raw
-    | None -> Ok 0
+    match p.T.tcs with
+    | Some ({ T.source = T.Map m; _ } as f) -> map_checked ~field:"TCS" m (raw f)
+    | _ -> Ok 0
   in
-  let tbl = Hashtbl.create 17 in
-  Hashtbl.replace tbl "T" tail;
-  Hashtbl.replace tbl "S" sp;
-  Hashtbl.replace tbl "OPT" (Tepic.Opcode.optype_code ty);
-  Hashtbl.replace tbl "OPCODE" code;
-  let* () =
-    List.fold_left
-      (fun acc (name, raw) ->
-        let* () = acc in
-        let* v =
-          if Encoding.Tailored.is_reserved name then Ok 0
-          else
-            match Encoding.Tailored.reg_class_of_field opcode ~tcs name with
-            | Some c ->
-                map_checked ~field:name (Encoding.Tailored.reg_map spec c) raw
-            | None ->
-                if Encoding.Tailored.is_raw name then Ok raw
-                else
-                  map_checked ~field:name
-                    (Encoding.Tailored.field_map spec name)
-                    raw
-        in
-        Hashtbl.replace tbl name v;
-        Ok ())
-      (Ok ()) raws
+  let word = Tepic.Op.prefix_word ~tail ~spec:sp ~opt:optc ~code in
+  let rec fields word i =
+    if i = Array.length p.T.fields then Ok word
+    else
+      let f = p.T.fields.(i) in
+      let name = f.T.fd.Tepic.Format_spec.fname in
+      let* v =
+        match f.T.source with
+        | T.Reserved -> Ok 0
+        | T.Raw -> Ok (raw f)
+        | T.Map m -> map_checked ~field:name m (raw f)
+        | T.Reg maps -> map_checked ~field:name (T.reg_map_for maps tcs) (raw f)
+      in
+      fields (word lor (v lsl f.T.base_shift)) (i + 1)
   in
-  match Tepic.Op.of_fields kind (Hashtbl.find tbl) with
+  let* word = fields word 0 in
+  match Tepic.Op.of_word word with
   | op -> Ok [ op ]
   | exception Invalid_argument m -> Error (Malformed m)
-  | exception Not_found -> Error (Malformed "tailored: field lookup failed")
 
 (* [decode_step strategy r] — decode the smallest self-contained unit of
    the stream: one op for most schemes, an op sequence for a dictionary
@@ -212,7 +185,7 @@ let decode_step strategy r =
       match Tepic.Field_stream.kind_of_stream0 config ~value:v0 ~width:w0 with
       | exception Invalid_argument m -> Error (Malformed m)
       | kind ->
-          let ns = config.Tepic.Field_stream.nstreams in
+          let ns = Tepic.Field_stream.nstreams config in
           let widths = Tepic.Field_stream.widths config kind in
           let values = Array.make ns 0 in
           values.(0) <- v0;

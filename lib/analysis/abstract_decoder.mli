@@ -16,7 +16,8 @@ type strategy =
   | Byte of Huffman.Codebook.t
   | Stream of Tepic.Field_stream.t * Huffman.Codebook.t option array
   | Full of Huffman.Codebook.t
-  | Tailored_isa of Encoding.Tailored.spec
+  | Tailored_isa of Encoding.Tailored.plan
+      (** the published spec, compiled into its field-extraction plan *)
   | Dict of { entries : int list array; idx_bits : int }
 
 (** Why a decode step rejected the stream.  [Out_of_range] is separated

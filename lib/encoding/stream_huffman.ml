@@ -6,15 +6,8 @@ let pack ~value ~width = value lor (width lsl 42)
 let unpack sym = (sym land ((1 lsl 42) - 1), sym lsr 42)
 
 let mk name nstreams assign =
-  {
-    Tepic.Field_stream.name;
-    nstreams;
-    stream_of_field =
-      (fun f ->
-        match f with
-        | "T" | "S" | "OPT" | "OPCODE" -> 0
-        | _ -> assign f);
-  }
+  Tepic.Field_stream.make ~name ~nstreams (fun f ->
+      match f with "T" | "S" | "OPT" | "OPCODE" -> 0 | _ -> assign f)
 
 let sources = function "SRC1" | "SRC2" | "IMM" -> true | _ -> false
 let dests = function "DEST" -> true | _ -> false
@@ -61,12 +54,8 @@ let configs =
     ("stream_5", per_field);
   ]
 
-let () =
-  List.iter (fun (_, c) -> Tepic.Field_stream.validate c) configs
-
 let build ?(config = classic) program =
-  Tepic.Field_stream.validate config;
-  let ns = config.Tepic.Field_stream.nstreams in
+  let ns = Tepic.Field_stream.nstreams config in
   let freqs = Array.init ns (fun _ -> Huffman.Freq.create ()) in
   Tepic.Program.iter_ops
     (fun op ->
@@ -136,7 +125,7 @@ let build ?(config = classic) program =
     List.fold_left (fun a b -> a + (stat b).Huffman.Codebook.table_bits) 0 live_books
   in
   {
-    Scheme.name = config.Tepic.Field_stream.name;
+    Scheme.name = Tepic.Field_stream.name config;
     image;
     code_bits = 8 * String.length image;
     table_bits;

@@ -209,92 +209,194 @@ let finalize_spec spec =
     widths = List.map (fun k -> (k, op_bits spec k)) Tepic.Format_spec.kinds;
   }
 
-let encode_op spec w (op : Tepic.Op.t) =
-  let opcode = Tepic.Op.opcode op in
+(* ---- compiled field plans ------------------------------------------ *)
+
+type source = Reserved | Raw | Map of dense_map | Reg of dense_map array
+
+type field_plan = {
+  fd : Tepic.Format_spec.field;
+  bits : int;
+  shift : int;
+  base_shift : int;
+  source : source;
+}
+
+type op_plan = {
+  body_bits : int;
+  fields : field_plan array;
+  tcs : field_plan option;
+}
+
+type plan = {
+  spec : spec;
+  opcode_maps_by_opt : dense_map option array;
+  ops : op_plan array;
+}
+
+let is_prefix name =
+  List.exists
+    (fun (fd : Tepic.Format_spec.field) -> fd.fname = name)
+    Tepic.Format_spec.prefix
+
+(* Baseline positions, counted from the least significant bit of the
+   40-bit word, of a layout's fields in layout order. *)
+let base_shifts layout =
+  let hi = ref Tepic.Format_spec.op_bits in
+  List.map
+    (fun (fd : Tepic.Format_spec.field) ->
+      hi := !hi - fd.width;
+      (fd, !hi))
+    layout
+
+(* TCS is a 2-bit field: a register field's map is resolved for each of
+   its four values. *)
+let tcs_values =
+  match
+    List.find_opt
+      (fun (fd : Tepic.Format_spec.field) -> fd.fname = "TCS")
+      (Tepic.Format_spec.layout Tepic.Opcode.K_load)
+  with
+  | Some fd -> 1 lsl fd.width
+  | None -> 1
+
+let op_plan spec opcode =
   let kind = Tepic.Opcode.kind opcode in
-  let ty = Tepic.Opcode.optype opcode in
+  let body =
+    List.filter
+      (fun ((fd : Tepic.Format_spec.field), _) -> not (is_prefix fd.fname))
+      (base_shifts (Tepic.Format_spec.layout kind))
+  in
+  let body_bits =
+    List.fold_left (fun a (fd, _) -> a + field_width spec kind fd) 0 body
+  in
+  let hi = ref body_bits in
+  let fields =
+    List.map
+      (fun ((fd : Tepic.Format_spec.field), base_shift) ->
+        let name = fd.fname in
+        let bits = field_width spec kind fd in
+        hi := !hi - bits;
+        let source =
+          if is_reserved name then Reserved
+          else
+            match reg_class_of_field opcode ~tcs:0 name with
+            | Some _ ->
+                Reg
+                  (Array.init tcs_values (fun tcs ->
+                       match reg_class_of_field opcode ~tcs name with
+                       | Some c -> reg_map spec c
+                       | None -> failwith "Tailored: register field without class"))
+            | None -> if is_raw name then Raw else Map (field_map spec name)
+        in
+        { fd; bits; shift = !hi; base_shift; source })
+      body
+    |> Array.of_list
+  in
+  {
+    body_bits;
+    fields;
+    tcs = Array.find_opt (fun f -> f.fd.Tepic.Format_spec.fname = "TCS") fields;
+  }
+
+let compile spec =
+  {
+    spec;
+    opcode_maps_by_opt =
+      Array.init 4 (fun c ->
+          List.assoc_opt (Tepic.Opcode.optype_of_code c) spec.opcode_maps);
+    ops = Array.of_list (List.map (op_plan spec) Tepic.Opcode.all);
+  }
+
+let[@inline] field_raw f body = (body lsr f.shift) land ((1 lsl f.bits) - 1)
+
+let[@inline] reg_map_for maps tcs =
+  if tcs >= 0 && tcs < Array.length maps then maps.(tcs) else maps.(0)
+
+(* [List.assoc] semantics of the field-table codec: an op type with no
+   published map raises [Not_found]. *)
+let opcode_map plan optc =
+  match plan.opcode_maps_by_opt.(optc) with Some m -> m | None -> raise Not_found
+
+let encode_op plan w (op : Tepic.Op.t) =
+  let spec = plan.spec in
+  let opcode = Tepic.Op.opcode op in
+  let optc = Tepic.Opcode.optype_code (Tepic.Opcode.optype opcode) in
   Bits.Writer.add_bits w ~width:1 (if op.Tepic.Op.tail then 1 else 0);
   if spec.spec_bit then
     Bits.Writer.add_bits w ~width:1 (if op.Tepic.Op.spec then 1 else 0);
-  Bits.Writer.add_bits w ~width:2 (Tepic.Opcode.optype_code ty);
-  let omap = List.assoc ty spec.opcode_maps in
+  Bits.Writer.add_bits w ~width:2 optc;
   Bits.Writer.add_bits w ~width:spec.opcode_bits
-    (map_new omap (Tepic.Opcode.code opcode));
-  let tcs = try Tepic.Op.field_value op "TCS" with Not_found -> 0 in
-  List.iter
-    (fun (fd, v) ->
-      let name = fd.Tepic.Format_spec.fname in
-      if List.mem name [ "T"; "S"; "OPT"; "OPCODE" ] || is_reserved name then ()
-      else begin
-        let width = field_width spec kind fd in
-        let encoded =
-          match reg_class_of_field opcode ~tcs name with
-          | Some c -> map_new (reg_map spec c) v
-          | None -> if is_raw name then v else map_new (field_map spec name) v
-        in
-        if width > 0 then Bits.Writer.add_bits w ~width encoded
-        else if encoded <> 0 then
-          invalid_arg "Tailored.encode_op: nonzero value in zero-width field"
-      end)
-    (Tepic.Op.fields op)
+    (map_new (opcode_map plan optc) (Tepic.Opcode.code opcode));
+  let p = plan.ops.(Tepic.Opcode.index opcode) in
+  let word = Tepic.Op.to_word op in
+  let base f =
+    (word lsr f.base_shift) land ((1 lsl f.fd.Tepic.Format_spec.width) - 1)
+  in
+  let tcs = match p.tcs with Some f -> base f | None -> 0 in
+  let body = ref 0 in
+  Array.iter
+    (fun f ->
+      let v = base f in
+      let encoded =
+        match f.source with
+        | Reserved -> 0
+        | Raw -> v
+        | Map m -> map_new m v
+        | Reg maps -> map_new (reg_map_for maps tcs) v
+      in
+      if f.bits > 0 then begin
+        if encoded lsr f.bits <> 0 then
+          invalid_arg "Bits.Writer.add_bits: value does not fit width";
+        body := !body lor (encoded lsl f.shift)
+      end
+      else if encoded <> 0 then
+        invalid_arg "Tailored.encode_op: nonzero value in zero-width field")
+    p.fields;
+  Bits.Writer.add_bits w ~width:p.body_bits !body
 
-let decode_op spec r =
-  let tail = Bits.Reader.read_bits r ~width:1 = 1 in
-  let sp = if spec.spec_bit then Bits.Reader.read_bits r ~width:1 = 1 else false in
-  let ty = Tepic.Opcode.optype_of_code (Bits.Reader.read_bits r ~width:2) in
-  let omap = List.assoc ty spec.opcode_maps in
+let decode_op plan r =
+  let spec = plan.spec in
+  let tail = Bits.Reader.read_bits r ~width:1 in
+  let sp = if spec.spec_bit then Bits.Reader.read_bits r ~width:1 else 0 in
+  let optc = Bits.Reader.read_bits r ~width:2 in
+  let ty = Tepic.Opcode.optype_of_code optc in
+  let omap = opcode_map plan optc in
   let code = map_old omap (Bits.Reader.read_bits r ~width:spec.opcode_bits) in
   let opcode =
     match Tepic.Opcode.of_code ty code with
     | Some oc -> oc
     | None -> invalid_arg "Tailored.decode_op: bad opcode"
   in
-  let kind = Tepic.Opcode.kind opcode in
-  let tbl = Hashtbl.create 17 in
-  Hashtbl.replace tbl "T" (if tail then 1 else 0);
-  Hashtbl.replace tbl "S" (if sp then 1 else 0);
-  Hashtbl.replace tbl "OPT" (Tepic.Opcode.optype_code ty);
-  Hashtbl.replace tbl "OPCODE" code;
-  (* Pass 1: pull every field's raw bits (widths depend only on the
-     format).  A hardware decoder sees all bits at once; sequentially we
-     must buffer them because a field's register file can depend on a
-     later field (the store format puts SRC2 before TCS). *)
-  let raws =
-    List.filter_map
-      (fun fd ->
-        let name = fd.Tepic.Format_spec.fname in
-        if List.mem name [ "T"; "S"; "OPT"; "OPCODE" ] then None
-        else if is_reserved name then Some (name, 0)
-        else begin
-          let width = field_width spec kind fd in
-          Some (name, if width > 0 then Bits.Reader.read_bits r ~width else 0)
-        end)
-      (Tepic.Format_spec.layout kind)
-  in
-  (* Resolve TCS first: it selects register files. *)
+  let p = plan.ops.(Tepic.Opcode.index opcode) in
+  (* A hardware decoder sees every field at once; reading the whole body
+     before mapping any field gives the register-file lookahead the store
+     format needs (SRC2's file depends on the later TCS field). *)
+  let body = Bits.Reader.read_bits r ~width:p.body_bits in
   let tcs =
-    match List.assoc_opt "TCS" raws with
-    | Some raw -> map_old (field_map spec "TCS") raw
-    | None -> 0
+    match p.tcs with
+    | Some ({ source = Map m; _ } as f) -> map_old m (field_raw f body)
+    | _ -> 0
   in
-  List.iter
-    (fun (name, raw) ->
+  let word = ref (Tepic.Op.prefix_word ~tail ~spec:sp ~opt:optc ~code) in
+  Array.iter
+    (fun f ->
+      let raw = field_raw f body in
       let v =
-        if is_reserved name then 0
-        else
-          match reg_class_of_field opcode ~tcs name with
-          | Some c -> map_old (reg_map spec c) raw
-          | None ->
-              if is_raw name then raw else map_old (field_map spec name) raw
+        match f.source with
+        | Reserved -> 0
+        | Raw -> raw
+        | Map m -> map_old m raw
+        | Reg maps -> map_old (reg_map_for maps tcs) raw
       in
-      Hashtbl.replace tbl name v)
-    raws;
-  Tepic.Op.of_fields kind (Hashtbl.find tbl)
+      word := !word lor (v lsl f.base_shift))
+    p.fields;
+  Tepic.Op.of_word !word
 
 let build_with_spec program =
   let spec = finalize_spec (spec_of_program program) in
+  let plan = compile spec in
   let image, offsets, sizes =
-    Scheme.build_blocks program (fun w ops -> List.iter (encode_op spec w) ops)
+    Scheme.build_blocks program (fun w ops -> List.iter (encode_op plan w) ops)
   in
   let counts =
     Array.map
@@ -302,7 +404,7 @@ let build_with_spec program =
       program.Tepic.Program.blocks
   in
   let decode_payload r i =
-    List.init counts.(i) (fun _ -> decode_op spec r)
+    List.init counts.(i) (fun _ -> decode_op plan r)
   in
   (* The tailored "table" cost is the PLA's value maps: every dense map
      entry stores its original value. *)

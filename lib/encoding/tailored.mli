@@ -68,6 +68,67 @@ val field_width : spec -> Tepic.Opcode.kind -> Tepic.Format_spec.field -> int
 (** [header_bits spec] — T + optional S + OPT + OPCODE prefix width. *)
 val header_bits : spec -> int
 
+(** {1 Compiled field plans}
+
+    A spec compiled, once, into the PLA's per-opcode field-extraction
+    program: for every non-prefix field, its tailored width and position,
+    its baseline position, and where its value comes from — the register
+    map already selected for the opcode and each TCS value, the dense map,
+    or raw pass-through.  Encoding and decoding an op are then shifts,
+    masks and array lookups.  A plan is derived from the spec's maps when
+    {!compile} runs: compile again after changing a spec. *)
+
+(** Where a field's value comes from. *)
+type source =
+  | Reserved  (** dropped from the encoding; decodes to 0 *)
+  | Raw  (** passes through at the tailored width *)
+  | Map of dense_map  (** a non-register field's dense map *)
+  | Reg of dense_map array
+      (** a register field: its class's map for each TCS value (0-3) *)
+
+type field_plan = {
+  fd : Tepic.Format_spec.field;  (** the baseline field *)
+  bits : int;  (** tailored width ({!field_width}) *)
+  shift : int;  (** position in the tailored body, from its LSB *)
+  base_shift : int;  (** position in the 40-bit baseline word *)
+  source : source;
+}
+
+type op_plan = {
+  body_bits : int;  (** tailored width of the fields after the header *)
+  fields : field_plan array;  (** layout order, prefix excluded *)
+  tcs : field_plan option;  (** the TCS field, read ahead of the others *)
+}
+
+type plan = {
+  spec : spec;
+  opcode_maps_by_opt : dense_map option array;  (** by OPT code *)
+  ops : op_plan array;  (** by {!Tepic.Opcode.index} *)
+}
+
+val compile : spec -> plan
+
+(** [field_raw f body] is field [f]'s tailored bits within an op body
+    read as one integer of [body_bits] bits. *)
+val field_raw : field_plan -> int -> int
+
+(** [reg_map_for maps tcs] is the map of a [Reg maps] field for an op
+    whose TCS value is [tcs]; a value past the table (TCS fields are 2
+    bits wide) selects like 0, as {!reg_class_of_field} does. *)
+val reg_map_for : dense_map array -> int -> dense_map
+
+(** [encode_op plan w op] appends the tailored encoding of [op].  Raises
+    [Not_found] when [op]'s type has no opcode map, [Invalid_argument]
+    when a value lies outside its map or does not fit its field. *)
+val encode_op : plan -> Bits.Writer.t -> Tepic.Op.t -> unit
+
+(** [decode_op plan r] reads one tailored op: the header, then the whole
+    body at once, so the TCS field can select register files for the
+    fields laid out before it.  Raises [Not_found] for an op type without
+    a map and [Invalid_argument] for a dense index past its map or an
+    undefined opcode. *)
+val decode_op : plan -> Bits.Reader.t -> Tepic.Op.t
+
 val build : Tepic.Program.t -> Scheme.t
 
 (** [build_with_spec program] — also return the derived specification

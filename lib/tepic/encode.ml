@@ -1,33 +1,23 @@
-let encode w op =
-  List.iter
-    (fun (fd, v) -> Bits.Writer.add_bits w ~width:fd.Format_spec.width v)
-    (Op.fields op)
+let op_bits = Format_spec.op_bits
+let body_bits = op_bits - Format_spec.prefix_bits
 
+let encode w op = Bits.Writer.add_bits w ~width:op_bits (Op.to_word op)
+
+let undefined word =
+  let opt, code = Op.opcode_point word in
+  invalid_arg
+    (Printf.sprintf "Encode.decode: undefined opcode point %d/%d" opt code)
+
+(* The 9-bit prefix is read and its opcode point checked before the rest
+   of the op is read, so a stream is rejected at the same position and
+   with the same message whether or not the other 31 bits are there. *)
 let decode r =
-  let start = Bits.Reader.pos r in
-  let tail = Bits.Reader.read_bits r ~width:1 in
-  let spec = Bits.Reader.read_bits r ~width:1 in
-  let opt = Bits.Reader.read_bits r ~width:2 in
-  let code = Bits.Reader.read_bits r ~width:5 in
-  ignore (tail, spec);
-  let opcode =
-    match Opcode.of_code (Opcode.optype_of_code opt) code with
-    | Some oc -> oc
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Encode.decode: undefined opcode point %d/%d" opt code)
+  let head =
+    Bits.Reader.read_bits r ~width:Format_spec.prefix_bits lsl body_bits
   in
-  let layout = Format_spec.layout (Opcode.kind opcode) in
-  (* Re-read the whole op through the format layout so that every field,
-     including the prefix we peeked at, lands in the table. *)
-  Bits.Reader.seek r start;
-  let tbl = Hashtbl.create 17 in
-  List.iter
-    (fun fd ->
-      Hashtbl.replace tbl fd.Format_spec.fname
-        (Bits.Reader.read_bits r ~width:fd.Format_spec.width))
-    layout;
-  Op.of_fields (Opcode.kind opcode) (Hashtbl.find tbl)
+  match Op.opcode_of_word head with
+  | None -> undefined head
+  | Some _ -> Op.of_word (head lor Bits.Reader.read_bits r ~width:body_bits)
 
 let encode_ops ops =
   let w = Bits.Writer.create ~initial_bytes:(5 * List.length ops + 1) () in
@@ -38,12 +28,9 @@ let decode_ops ~count s =
   let r = Bits.Reader.of_string s in
   List.init count (fun _ -> decode r)
 
-let to_int op =
-  List.fold_left
-    (fun acc (fd, v) -> (acc lsl fd.Format_spec.width) lor v)
-    0 (Op.fields op)
+let to_int = Op.to_word
 
 let of_int v =
-  let w = Bits.Writer.create ~initial_bytes:5 () in
-  Bits.Writer.add_bits w ~width:Format_spec.op_bits v;
-  decode (Bits.Reader.of_string (Bits.Writer.contents w))
+  if v < 0 || v lsr op_bits <> 0 then
+    invalid_arg "Bits.Writer.add_bits: value does not fit width";
+  match Op.opcode_of_word v with None -> undefined v | Some _ -> Op.of_word v

@@ -64,6 +64,17 @@ let layout : Opcode.kind -> field list = function
 let kinds : Opcode.kind list =
   [ K_alu; K_cmpp; K_ldi; K_fpu; K_load; K_store; K_branch ]
 
+let kind_index : Opcode.kind -> int = function
+  | K_alu -> 0
+  | K_cmpp -> 1
+  | K_ldi -> 2
+  | K_fpu -> 3
+  | K_load -> 4
+  | K_store -> 5
+  | K_branch -> 6
+
+let () = List.iteri (fun i k -> assert (kind_index k = i)) kinds
+
 let kind_to_string : Opcode.kind -> string = function
   | K_alu -> "alu"
   | K_cmpp -> "cmpp"

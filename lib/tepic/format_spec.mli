@@ -32,5 +32,9 @@ val prefix_bits : int
 val all_field_names : string list
 
 val kinds : Opcode.kind list
+
+(** [kind_index k] is the position of [k] in {!kinds}: a dense key for
+    per-format tables. *)
+val kind_index : Opcode.kind -> int
 val kind_to_string : Opcode.kind -> string
 val pp_field : Format.formatter -> field -> unit

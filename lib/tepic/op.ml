@@ -207,82 +207,248 @@ let fields op =
   let layout = Format_spec.layout (kind op) in
   List.map (fun fd -> (fd, field_value op fd.Format_spec.fname)) layout
 
-let of_fields kind lookup =
-  let opt = Opcode.optype_of_code (lookup "OPT") in
-  let opcode =
-    match Opcode.of_code opt (lookup "OPCODE") with
-    | Some oc -> oc
-    | None -> invalid_arg "Op.of_fields: unknown opcode"
+(* Word codec.  Every layout of Format_spec is compiled once, at module
+   initialization, into the bit position of each field counted from the
+   least significant bit of the 40-bit word (the first field of a layout
+   is the most significant).  [to_word] and [of_word] are then shifts and
+   masks over those positions; no bit position is written down twice. *)
+type slot = { shift : int; width : int; mask : int }
+
+type slots = {
+  t_ : slot;
+  s_ : slot;
+  opt_ : slot;
+  code_ : slot;
+  pred_ : slot;
+  src1_ : slot;
+  src2_ : slot;
+  dest_ : slot;
+  bhwx_ : slot;
+  l1_ : slot;
+  d1_ : slot;
+  imm_ : slot;
+  sd_ : slot;
+  tss_ : slot;
+  scs_ : slot;
+  tcs_ : slot;
+  lat_ : slot;
+  counter_ : slot;
+  target_ : slot;
+}
+
+let slots_of_layout layout =
+  let rec place hi acc = function
+    | [] -> acc
+    | (fd : Format_spec.field) :: rest ->
+        let shift = hi - fd.width in
+        place shift
+          ((fd.fname, { shift; width = fd.width; mask = (1 lsl fd.width) - 1 })
+          :: acc)
+          rest
   in
-  if Opcode.kind opcode <> kind then
-    invalid_arg "Op.of_fields: opcode/format mismatch";
-  let body =
-    match kind with
-    | Opcode.K_alu ->
-        Alu
-          {
-            opcode;
-            src1 = lookup "SRC1";
-            src2 = lookup "SRC2";
-            bhwx = lookup "BHWX";
-            dest = lookup "DEST";
-            l1 = lookup "L1" = 1;
-          }
-    | K_cmpp ->
-        Cmpp
-          {
-            opcode;
-            src1 = lookup "SRC1";
-            src2 = lookup "SRC2";
-            bhwx = lookup "BHWX";
-            d1 = lookup "D1";
-            dest = lookup "DEST";
-            l1 = lookup "L1" = 1;
-          }
-    | K_ldi ->
-        Ldi { imm = lookup "IMM"; dest = lookup "DEST"; l1 = lookup "L1" = 1 }
-    | K_fpu ->
-        Fpu
-          {
-            opcode;
-            src1 = lookup "SRC1";
-            src2 = lookup "SRC2";
-            sd = lookup "SD" = 1;
-            tss = lookup "TSS";
-            dest = lookup "DEST";
-            l1 = lookup "L1" = 1;
-          }
-    | K_load ->
-        Load
-          {
-            opcode;
-            src1 = lookup "SRC1";
-            bhwx = lookup "BHWX";
-            scs = lookup "SCS";
-            tcs = lookup "TCS";
-            lat = lookup "LAT";
-            dest = lookup "DEST";
-          }
-    | K_store ->
-        Store
-          {
-            opcode;
-            src1 = lookup "SRC1";
-            src2 = lookup "SRC2";
-            bhwx = lookup "BHWX";
-            tcs = lookup "TCS";
-            l1 = lookup "L1" = 1;
-          }
-    | K_branch ->
-        Branch
-          {
-            opcode;
-            src1 = lookup "SRC1";
-            counter = lookup "COUNTER";
-            target = lookup "TARGET";
-          }
+  let placed = place Format_spec.op_bits [] layout in
+  (* A field the format lacks gets a zero-width slot: it reads as 0 and
+     accepts only 0. *)
+  let at name =
+    match List.assoc_opt name placed with
+    | Some sl -> sl
+    | None -> { shift = 0; width = 0; mask = 0 }
   in
-  { tail = lookup "T" = 1; spec = lookup "S" = 1; pred = lookup "PRED"; body }
+  {
+    t_ = at "T";
+    s_ = at "S";
+    opt_ = at "OPT";
+    code_ = at "OPCODE";
+    pred_ = at "PRED";
+    src1_ = at "SRC1";
+    src2_ = at "SRC2";
+    dest_ = at "DEST";
+    bhwx_ = at "BHWX";
+    l1_ = at "L1";
+    d1_ = at "D1";
+    imm_ = at "IMM";
+    sd_ = at "SD";
+    tss_ = at "TSS";
+    scs_ = at "SCS";
+    tcs_ = at "TCS";
+    lat_ = at "LAT";
+    counter_ = at "COUNTER";
+    target_ = at "TARGET";
+  }
+
+let alu_slots = slots_of_layout (Format_spec.layout K_alu)
+let cmpp_slots = slots_of_layout (Format_spec.layout K_cmpp)
+let ldi_slots = slots_of_layout (Format_spec.layout K_ldi)
+let fpu_slots = slots_of_layout (Format_spec.layout K_fpu)
+let load_slots = slots_of_layout (Format_spec.layout K_load)
+let store_slots = slots_of_layout (Format_spec.layout K_store)
+let branch_slots = slots_of_layout (Format_spec.layout K_branch)
+
+let slots : Opcode.kind -> slots = function
+  | K_alu -> alu_slots
+  | K_cmpp -> cmpp_slots
+  | K_ldi -> ldi_slots
+  | K_fpu -> fpu_slots
+  | K_load -> load_slots
+  | K_store -> store_slots
+  | K_branch -> branch_slots
+
+(* Every format starts with the same prefix, so T/S/OPT/OPCODE sit at the
+   same positions in every word and the opcode is found before the
+   format is known. *)
+let prefix_slots = slots_of_layout Format_spec.prefix
+
+let () =
+  List.iter
+    (fun k ->
+      let p = slots k in
+      if
+        p.t_ <> prefix_slots.t_ || p.s_ <> prefix_slots.s_
+        || p.opt_ <> prefix_slots.opt_ || p.code_ <> prefix_slots.code_
+      then failwith "Op: format prefix is not at the top of the word")
+    Format_spec.kinds
+
+let[@inline] get sl w = (w lsr sl.shift) land sl.mask
+let[@inline] bit sl w = get sl w = 1
+
+(* An over-wide or negative field is rejected with the message
+   [Bits.Writer.add_bits] gives when [Encode.encode] writes it, so the
+   word and the bitstream encoders fail alike. *)
+let[@inline] put sl v =
+  if v < 0 || v lsr sl.width <> 0 then
+    invalid_arg "Bits.Writer.add_bits: value does not fit width";
+  v lsl sl.shift
+
+let opcode_of_word w =
+  Opcode.of_code
+    (Opcode.optype_of_code (get prefix_slots.opt_ w))
+    (get prefix_slots.code_ w)
+
+let opcode_point w = (get prefix_slots.opt_ w, get prefix_slots.code_ w)
+
+let prefix_word ~tail ~spec ~opt ~code =
+  let p = prefix_slots in
+  (tail lsl p.t_.shift) lor (spec lsl p.s_.shift) lor (opt lsl p.opt_.shift)
+  lor (code lsl p.code_.shift)
+
+let to_word op =
+  let opcode = opcode op in
+  let p = slots (Opcode.kind opcode) in
+  let head =
+    put p.t_ (bool_bit op.tail)
+    lor put p.s_ (bool_bit op.spec)
+    lor put p.opt_ (Opcode.optype_code (Opcode.optype opcode))
+    lor put p.code_ (Opcode.code opcode)
+    lor put p.pred_ op.pred
+  in
+  match op.body with
+  | Alu b ->
+      check_kind K_alu opcode;
+      head lor put p.src1_ b.src1 lor put p.src2_ b.src2 lor put p.bhwx_ b.bhwx
+      lor put p.dest_ b.dest lor put p.l1_ (bool_bit b.l1)
+  | Cmpp b ->
+      check_kind K_cmpp opcode;
+      head lor put p.src1_ b.src1 lor put p.src2_ b.src2 lor put p.bhwx_ b.bhwx
+      lor put p.d1_ b.d1 lor put p.dest_ b.dest lor put p.l1_ (bool_bit b.l1)
+  | Ldi b ->
+      head lor put p.imm_ b.imm lor put p.dest_ b.dest
+      lor put p.l1_ (bool_bit b.l1)
+  | Fpu b ->
+      check_kind K_fpu opcode;
+      head lor put p.src1_ b.src1 lor put p.src2_ b.src2
+      lor put p.sd_ (bool_bit b.sd) lor put p.tss_ b.tss lor put p.dest_ b.dest
+      lor put p.l1_ (bool_bit b.l1)
+  | Load b ->
+      check_kind K_load opcode;
+      head lor put p.src1_ b.src1 lor put p.bhwx_ b.bhwx lor put p.scs_ b.scs
+      lor put p.tcs_ b.tcs lor put p.lat_ b.lat lor put p.dest_ b.dest
+  | Store b ->
+      check_kind K_store opcode;
+      head lor put p.src1_ b.src1 lor put p.src2_ b.src2 lor put p.bhwx_ b.bhwx
+      lor put p.tcs_ b.tcs lor put p.l1_ (bool_bit b.l1)
+  | Branch b ->
+      check_kind K_branch opcode;
+      head lor put p.src1_ b.src1 lor put p.counter_ b.counter
+      lor put p.target_ b.target
+
+let of_word w =
+  if w < 0 || w lsr Format_spec.op_bits <> 0 then
+    invalid_arg (Printf.sprintf "Op.of_word: %#x is not a 40-bit word" w);
+  match opcode_of_word w with
+  | None ->
+      let opt, code = opcode_point w in
+      invalid_arg
+        (Printf.sprintf "Op.of_word: undefined opcode point %d/%d" opt code)
+  | Some opcode ->
+      let kind = Opcode.kind opcode in
+      let p = slots kind in
+      let body =
+        match kind with
+        | K_alu ->
+            Alu
+              {
+                opcode;
+                src1 = get p.src1_ w;
+                src2 = get p.src2_ w;
+                bhwx = get p.bhwx_ w;
+                dest = get p.dest_ w;
+                l1 = bit p.l1_ w;
+              }
+        | K_cmpp ->
+            Cmpp
+              {
+                opcode;
+                src1 = get p.src1_ w;
+                src2 = get p.src2_ w;
+                bhwx = get p.bhwx_ w;
+                d1 = get p.d1_ w;
+                dest = get p.dest_ w;
+                l1 = bit p.l1_ w;
+              }
+        | K_ldi ->
+            Ldi { imm = get p.imm_ w; dest = get p.dest_ w; l1 = bit p.l1_ w }
+        | K_fpu ->
+            Fpu
+              {
+                opcode;
+                src1 = get p.src1_ w;
+                src2 = get p.src2_ w;
+                sd = bit p.sd_ w;
+                tss = get p.tss_ w;
+                dest = get p.dest_ w;
+                l1 = bit p.l1_ w;
+              }
+        | K_load ->
+            Load
+              {
+                opcode;
+                src1 = get p.src1_ w;
+                bhwx = get p.bhwx_ w;
+                scs = get p.scs_ w;
+                tcs = get p.tcs_ w;
+                lat = get p.lat_ w;
+                dest = get p.dest_ w;
+              }
+        | K_store ->
+            Store
+              {
+                opcode;
+                src1 = get p.src1_ w;
+                src2 = get p.src2_ w;
+                bhwx = get p.bhwx_ w;
+                tcs = get p.tcs_ w;
+                l1 = bit p.l1_ w;
+              }
+        | K_branch ->
+            Branch
+              {
+                opcode;
+                src1 = get p.src1_ w;
+                counter = get p.counter_ w;
+                target = get p.target_ w;
+              }
+      in
+      { tail = bit p.t_ w; spec = bit p.s_ w; pred = get p.pred_ w; body }
 
 let regs op =
   let pred = if op.pred <> 0 then [ Reg.pr op.pred ] else [] in

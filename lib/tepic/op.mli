@@ -3,9 +3,9 @@
     An operation is the RISC-like unit the scheduler packs into VLIW
     MultiOps.  Its in-memory form mirrors the encoding formats of
     {!Format_spec}: a common header (tail bit, speculative bit, predicate)
-    plus a format-specific body.  {!fields} exposes the generic
-    (name, width, value) view that every encoder in the compression pipeline
-    operates on. *)
+    plus a format-specific body.  The encoders in the compression pipeline
+    run on the 40-bit word view ({!to_word}/{!of_word}); {!fields} is the
+    named (field, value) view for inspection and diagnostics. *)
 
 type body =
   | Alu of {
@@ -112,20 +112,51 @@ val branch_target : t -> int option
 val with_tail : bool -> t -> t
 val with_target : int -> t -> t
 
-(** {1 Generic field view} *)
+(** {1 Word view}
+
+    The 40-bit baseline image of an op as one integer, first layout field
+    most significant (paper Table 2).  Field positions are derived from
+    {!Format_spec.layout} once, at module initialization, so both
+    directions are shifts and masks. *)
+
+(** [to_word op] packs every field of [op] at its format's position;
+    reserved fields are 0.  Raises [Invalid_argument "Bits.Writer.add_bits:
+    value does not fit width"] — the error {!Encode.encode} gives — when a
+    field value is negative or wider than its field (e.g. after a
+    {!map_regs} to an index past the register file), and [Invalid_argument]
+    when the body's format disagrees with the opcode's. *)
+val to_word : t -> int
+
+(** [of_word w] unpacks a 40-bit word; bits of reserved fields are
+    ignored.  Inverse of {!to_word} on valid ops.  Raises [Invalid_argument]
+    when [w] is not in [\[0, 2{^40})] or its OPT/OPCODE prefix is an
+    undefined opcode point. *)
+val of_word : int -> t
+
+(** [opcode_of_word w] is the opcode named by the T/S/OPT/OPCODE prefix at
+    the top of [w]; [None] for an undefined opcode point.  The prefix sits
+    at the same position in every format, so this needs no format. *)
+val opcode_of_word : int -> Opcode.t option
+
+(** [opcode_point w] is the (OPT, OPCODE) field pair of [w]. *)
+val opcode_point : int -> int * int
+
+(** [prefix_word ~tail ~spec ~opt ~code] is the word holding only the
+    given T, S, OPT and OPCODE field values (which must fit their
+    fields); decoders OR the body fields into it. *)
+val prefix_word : tail:int -> spec:int -> opt:int -> code:int -> int
+
+(** {1 Named field view} *)
 
 (** [fields op] lists (field, value) pairs in the encoding order of the
     op's format.  Reserved fields appear with value 0.  The list always
-    matches [Format_spec.layout (kind op)] positionally. *)
+    matches [Format_spec.layout (kind op)] positionally.  Used to inspect
+    and diagnose ops; no encoder runs on it. *)
 val fields : t -> (Format_spec.field * int) list
 
 (** [field_value op name] is the value of field [name]; raises [Not_found]
     if the format has no such field. *)
 val field_value : t -> string -> int
-
-(** [of_fields kind lookup] rebuilds an op from a field-value lookup
-    function.  Inverse of {!fields} for valid inputs. *)
-val of_fields : Opcode.kind -> (string -> int) -> t
 
 (** {1 Register view} *)
 

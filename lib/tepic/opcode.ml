@@ -77,14 +77,35 @@ let table : (t * optype * int * kind * string) list =
     (BRLC, Branch, 5, K_branch, "brlc");
   ]
 
-let all = List.map (fun (op, _, _, _, _) -> op) table
+(* Constant-time views of [table]: [index] numbers the constructors in
+   declaration order (the order of [table], checked below), [rows] holds
+   one row per index and [points] one optional opcode per 7-bit
+   OPT:OPCODE point. *)
+let index = function
+  | ADD -> 0 | SUB -> 1 | MUL -> 2 | DIV -> 3 | REM -> 4
+  | AND -> 5 | OR -> 6 | XOR -> 7 | NAND -> 8 | NOR -> 9
+  | SHL -> 10 | SHR -> 11 | SRA -> 12
+  | MOV -> 13 | ABS -> 14 | MIN -> 15 | MAX -> 16
+  | LDI -> 17
+  | CMPP_EQ -> 18 | CMPP_NE -> 19 | CMPP_LT -> 20 | CMPP_LE -> 21
+  | CMPP_GT -> 22 | CMPP_GE -> 23 | CMPP_LTU -> 24 | CMPP_GEU -> 25
+  | FADD -> 26 | FSUB -> 27 | FMUL -> 28 | FDIV -> 29 | FABS -> 30
+  | FNEG -> 31 | FSQRT -> 32 | FMIN -> 33 | FMAX -> 34 | FCMP -> 35
+  | ITOF -> 36 | FTOI -> 37 | FMOV -> 38
+  | LB -> 39 | LH -> 40 | LW -> 41 | LX -> 42
+  | SB -> 43 | SH -> 44 | SW -> 45 | SX -> 46
+  | BR -> 47 | BRCT -> 48 | BRCF -> 49 | BRL -> 50 | RET -> 51 | BRLC -> 52
 
-let row op =
-  let rec go = function
-    | [] -> assert false
-    | ((op', _, _, _, _) as r) :: rest -> if op = op' then r else go rest
-  in
-  go table
+let rows = Array.of_list table
+
+let () =
+  Array.iteri
+    (fun i (op, _, _, _, m) ->
+      if index op <> i then failwith ("Opcode: table out of order at " ^ m))
+    rows
+
+let all = List.map (fun (op, _, _, _, _) -> op) table
+let row op = Array.unsafe_get rows (index op)
 
 let optype op =
   let _, ty, _, _, _ = row op in
@@ -102,22 +123,25 @@ let mnemonic op =
   let _, _, _, _, m = row op in
   m
 
-let of_code ty c =
-  let rec go = function
-    | [] -> None
-    | (op, ty', c', _, _) :: rest ->
-        if ty = ty' && c = c' then Some op else go rest
-  in
-  go table
-
-let of_mnemonic m =
-  let rec go = function
-    | [] -> None
-    | (op, _, _, _, m') :: rest -> if m = m' then Some op else go rest
-  in
-  go table
-
 let optype_code = function Int -> 0 | Float -> 1 | Mem -> 2 | Branch -> 3
+
+let points =
+  let a = Array.make 128 None in
+  Array.iter
+    (fun (op, ty, c, _, _) -> a.((optype_code ty lsl 5) lor c) <- Some op)
+    rows;
+  a
+
+let of_code ty c =
+  if c < 0 || c > 31 then None
+  else Array.unsafe_get points ((optype_code ty lsl 5) lor c)
+
+let mnemonics =
+  let h = Hashtbl.create 64 in
+  Array.iter (fun (op, _, _, _, m) -> Hashtbl.replace h m op) rows;
+  h
+
+let of_mnemonic m = Hashtbl.find_opt mnemonics m
 
 let optype_of_code = function
   | 0 -> Int

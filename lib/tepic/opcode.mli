@@ -44,6 +44,10 @@ type t =
 
 val all : t list
 
+(** [index op] is the position of [op] in {!all} (0 to 52): a dense key
+    for per-opcode tables. *)
+val index : t -> int
+
 val optype : t -> optype
 val kind : t -> kind
 

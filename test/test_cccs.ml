@@ -4,6 +4,7 @@ let () =
       ("bits", Test_bits.suite);
       ("huffman", Test_huffman.suite);
       ("tepic", Test_tepic.suite);
+      ("codec", Test_codec.suite);
       ("asm", Test_asm.suite);
       ("compiler", Test_compiler.suite);
       ("emulator", Test_emulator.suite);

@@ -255,16 +255,12 @@ let prop_field_stream_widths_sum =
         configs)
 
 let test_field_stream_prefix_enforced () =
-  let bad =
-    {
-      Tepic.Field_stream.name = "bad";
-      nstreams = 2;
-      stream_of_field = (fun f -> if f = "OPT" then 1 else 0);
-    }
-  in
   Alcotest.check_raises "prefix must be stream 0"
     (Invalid_argument "Field_stream bad: prefix field OPT must be in stream 0")
-    (fun () -> Tepic.Field_stream.validate bad)
+    (fun () ->
+      ignore
+        (Tepic.Field_stream.make ~name:"bad" ~nstreams:2 (fun f ->
+             if f = "OPT" then 1 else 0)))
 
 let suite =
   [
