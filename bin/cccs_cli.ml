@@ -1,7 +1,10 @@
 (* cccs — command-line driver for the code-compression study.
 
-   Subcommands: list, compile, compress, simulate, stats, decoder, lint,
-   and the per-figure experiment reproductions (fig5..fig14, all). *)
+   Subcommands: list, compile, compress, decode, simulate, decoder, trace,
+   verify, the checkers (lint, validate, certify, wcet — one driver, see
+   [checker_cmd]), faults, fuzz, perfdiff, disasm, stats, export, and the
+   experiment reproductions (fig5, fig7, fig10, fig13, fig14, ablation,
+   predictors, superblocks, all). *)
 
 open Cmdliner
 
@@ -458,35 +461,22 @@ let trace_cmd =
 let verify_cmd =
   let run () bench =
     let r = Cccs.Workload_run.load (find_workload bench) in
-    let c = r.Cccs.Workload_run.compiled in
-    let prog = c.Cccs.Pipeline.program in
-    let res = r.Cccs.Workload_run.exec in
-    let ref_res =
-      Emulator.Ref_interp.run ~max_blocks:3_000_000 c.Cccs.Pipeline.alloc_cfg
-    in
-    let mem_ok =
-      Emulator.Ref_interp.mem_checksum ref_res
-      = Emulator.Machine.mem_checksum res.Emulator.Exec.machine
-    in
-    let trace_ok =
-      Emulator.Trace.to_array res.Emulator.Exec.trace
-      = Emulator.Trace.to_array ref_res.Emulator.Ref_interp.trace
-    in
-    let s = Cccs.Experiments.schemes_of r in
+    let prog = r.Cccs.Workload_run.compiled.Cccs.Pipeline.program in
+    let mem_ok, trace_ok = Cccs.Workload_run.differential r in
+    let decode_ok = ref true in
     List.iter
       (fun (sc : Encoding.Scheme.t) ->
-        Encoding.Scheme.verify sc prog;
-        Printf.printf "scheme %-10s decode-back OK\n" sc.Encoding.Scheme.name)
-      ([ s.Cccs.Experiments.base; s.Cccs.Experiments.byte ]
-      @ List.map snd s.Cccs.Experiments.streams
-      @ [
-          s.Cccs.Experiments.full;
-          s.Cccs.Experiments.tailored;
-          s.Cccs.Experiments.dict;
-        ]);
-    Printf.printf "differential memory  %s\n" (if mem_ok then "OK" else "MISMATCH");
-    Printf.printf "differential trace   %s\n" (if trace_ok then "OK" else "MISMATCH");
-    if not (mem_ok && trace_ok) then exit 1
+        Printf.printf "scheme %-10s decode-back %s\n" sc.Encoding.Scheme.name
+          (match Encoding.Scheme.verify sc prog with
+          | () -> "OK"
+          | exception Failure msg ->
+              decode_ok := false;
+              "FAILED: " ^ msg))
+      (Cccs.Analysis.target_of_run r).Cccs.Analysis.Pass.schemes;
+    let ok b = if b then "OK" else "MISMATCH" in
+    Printf.printf "differential memory  %s\n" (ok mem_ok);
+    Printf.printf "differential trace   %s\n" (ok trace_ok);
+    if not (!decode_ok && mem_ok && trace_ok) then exit 1
   in
   Cmd.v
     (Cmd.info "verify"
@@ -495,36 +485,130 @@ let verify_cmd =
           semantics) and decode-check every scheme")
     Term.(const run $ setup_logs $ bench_arg)
 
-(* Shared JSON shape of one diagnostic (lint --json, validate --json). *)
-let diag_json (d : Cccs.Analysis.Diag.t) =
+(* The checker subcommands — lint, validate, certify, wcet — share one
+   contract: check BENCH or the whole suite (--all); print a human report
+   on stdout, or under --json one cccs-<cmd>/1 object on stdout with the
+   human report on stderr; exit 1 on any error, 0 otherwise (warnings
+   included), 2 on a usage error and 1 on an unknown workload.  A checker
+   states only what differs; [checker_cmd] is the rest. *)
+
+module Diag = Cccs.Analysis.Diag
+module Collector = Cccs.Analysis.Diag.Collector
+
+type 'a checker = {
+  cmd : string;
+  schema : string;
+  doc : string;
+  setup : 'a Term.t;
+      (* the command's own options, evaluated once per invocation *)
+  check :
+    'a -> Format.formatter -> Collector.t -> Cccs.Workload_run.run ->
+    Cccs_obs.Json.t;
+      (* one workload: collect its diagnostics, print its human lines and
+         return its JSON *)
+  extras : 'a -> Collector.t -> Cccs_obs.Json.t list ->
+    (string * Cccs_obs.Json.t) list;
+      (* the envelope fields after "schema" and "ok", given every
+         workload's JSON *)
+  trailer : Format.formatter -> Collector.t -> unit;
+}
+
+let opt_json f = function None -> Cccs_obs.Json.Null | Some v -> f v
+
+let diag_json (d : Diag.t) =
   let open Cccs_obs.Json in
-  let opt f = function None -> Null | Some v -> f v in
+  let loc = d.Diag.loc in
   Obj
     [
-      ("code", Str d.Cccs.Analysis.Diag.code);
-      ( "severity",
-        Str
-          (Format.asprintf "%a" Cccs.Analysis.Diag.pp_severity
-             d.Cccs.Analysis.Diag.severity) );
-      ("workload", Str d.Cccs.Analysis.Diag.loc.Cccs.Analysis.Diag.workload);
-      ( "scheme",
-        opt (fun s -> Str s) d.Cccs.Analysis.Diag.loc.Cccs.Analysis.Diag.scheme
-      );
-      ("block", opt int d.Cccs.Analysis.Diag.loc.Cccs.Analysis.Diag.block);
-      ("inst", opt int d.Cccs.Analysis.Diag.loc.Cccs.Analysis.Diag.inst);
-      ("bit", opt int d.Cccs.Analysis.Diag.loc.Cccs.Analysis.Diag.bit);
-      ("message", Str d.Cccs.Analysis.Diag.message);
+      ("code", Str d.Diag.code);
+      ("severity", Str (Format.asprintf "%a" Diag.pp_severity d.Diag.severity));
+      ("workload", Str loc.Diag.workload);
+      ("scheme", opt_json (fun s -> Str s) loc.Diag.scheme);
+      ("block", opt_json int loc.Diag.block);
+      ("inst", opt_json int loc.Diag.inst);
+      ("bit", opt_json int loc.Diag.bit);
+      ("message", Str d.Diag.message);
     ]
 
-let lint_cmd =
+(* Add [diags] to the collector and print those [show] selects. *)
+let collect ?(show = fun _ -> true) out collector diags =
+  Collector.add_list collector diags;
+  List.iter
+    (fun d -> if show d then Format.fprintf out "%s@." (Diag.to_string d))
+    diags
+
+let workload_json name schemes =
+  Cccs_obs.Json.(Obj [ ("name", Str name); ("schemes", Arr schemes) ])
+
+let counts collector =
+  Cccs_obs.Json.
+    [
+      ("errors", int (Collector.errors collector));
+      ("warnings", int (Collector.warnings collector));
+    ]
+
+let counts_and_workloads _ collector workloads =
+  counts collector @ [ ("workloads", Cccs_obs.Json.Arr workloads) ]
+
+(* "<cmd>: <verdict> (N errors, M warnings)", FAILED on any error. *)
+let verdict cmd word out collector =
+  Format.fprintf out "%s: %s (%a)@." cmd
+    (if Collector.exit_status collector = 0 then word else "FAILED")
+    Collector.pp_summary collector
+
+let checker_cmd c =
   let bench_opt_arg =
     let doc = "Workload name (see `cccs list`).  Omit with $(b,--all)." in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
   in
   let all_arg =
-    let doc = "Lint every workload in the suite." in
+    let doc = "Check every workload in the suite." in
     Arg.(value & flag & info [ "all" ] ~doc)
   in
+  let json_arg =
+    let doc =
+      Printf.sprintf
+        "Emit one machine-readable JSON report (schema $(b,%s)) on stdout; \
+         the human-readable report moves to stderr."
+        c.schema
+    in
+    Arg.(value & flag & info [ "json" ] ~doc)
+  in
+  let run () bench all json setup =
+    let entries =
+      if all then Workloads.Suite.all
+      else
+        match bench with
+        | Some b -> [ find_workload b ]
+        | None ->
+            Logs.err (fun m -> m "%s: give a BENCH or --all" c.cmd);
+            exit 2
+    in
+    (* In JSON mode stdout carries exactly one JSON object. *)
+    let out = if json then Format.err_formatter else Format.std_formatter in
+    let collector = Collector.create () in
+    let workloads =
+      List.map
+        (fun e -> c.check setup out collector (Cccs.Workload_run.load e))
+        entries
+    in
+    c.trailer out collector;
+    let status = Collector.exit_status collector in
+    if json then
+      print_endline
+        Cccs_obs.Json.(
+          to_string
+            (Obj
+               (("schema", Str c.schema)
+               :: ("ok", Bool (status = 0))
+               :: c.extras setup collector workloads)));
+    exit status
+  in
+  Cmd.v (Cmd.info c.cmd ~doc:c.doc)
+    Term.(const run $ setup_logs $ bench_opt_arg $ all_arg $ json_arg
+          $ c.setup)
+
+let lint =
   let pass_arg =
     let doc = "Run only the named pass (see `cccs lint --passes`)." in
     Arg.(value & opt (some string) None & info [ "pass" ] ~docv:"PASS" ~doc)
@@ -533,99 +617,49 @@ let lint_cmd =
     let doc = "List the registered analysis passes and exit." in
     Arg.(value & flag & info [ "passes" ] ~doc)
   in
-  let json_arg =
-    let doc =
-      "Emit one machine-readable JSON report (schema $(b,cccs-lint/1)) on \
-       stdout; the human-readable diagnostics move to stderr."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let run () bench all pass list_passes json =
+  let setup pass list_passes =
     if list_passes then begin
       List.iter
         (fun (name, doc) -> Printf.printf "%-16s %s\n" name doc)
         Cccs.Analysis.pass_names;
       exit 0
     end;
-    let entries =
-      if all then Workloads.Suite.all
-      else
-        match bench with
-        | Some b -> [ find_workload b ]
-        | None ->
-            Logs.err (fun m -> m "lint: give a BENCH or --all");
-            exit 2
-    in
-    (* In JSON mode stdout carries exactly one JSON object. *)
-    let out = if json then Format.err_formatter else Format.std_formatter in
-    let collector = Cccs.Analysis.Diag.Collector.create () in
-    List.iter
-      (fun (e : Workloads.Suite.entry) ->
-        let r = Cccs.Workload_run.load e in
+    pass
+  in
+  {
+    cmd = "lint";
+    schema = "cccs-lint/1";
+    doc =
+      "Run the whole-pipeline static verifier (dataflow, schedule, \
+       encoding, decoder, image and certification checks) on one workload \
+       or the whole suite";
+    setup = Term.(const setup $ pass_arg $ passes_arg);
+    check =
+      (fun pass out collector r ->
         let target = Cccs.Analysis.target_of_run r in
-        let diags =
-          match pass with
+        collect out collector
+          (match pass with
           | None -> Cccs.Analysis.run_all target
           | Some p -> (
               match Cccs.Analysis.run_pass p target with
               | Some ds -> ds
               | None ->
-                  Logs.err (fun m ->
-                      m "lint: unknown pass %S; try --passes" p);
-                  exit 2)
-        in
-        Cccs.Analysis.Diag.Collector.add_list collector diags;
-        List.iter
-          (fun d -> Format.fprintf out "%s@." (Cccs.Analysis.Diag.to_string d))
-          diags)
-      entries;
-    Format.fprintf out "%a@." Cccs.Analysis.Diag.Collector.pp_summary collector;
-    if json then begin
-      let open Cccs_obs.Json in
-      print_endline
-        (to_string
-           (Obj
-              [
-                ("schema", Str "cccs-lint/1");
-                ( "ok",
-                  Bool (Cccs.Analysis.Diag.Collector.exit_status collector = 0)
-                );
-                ("errors", int (Cccs.Analysis.Diag.Collector.errors collector));
-                ( "warnings",
-                  int (Cccs.Analysis.Diag.Collector.warnings collector) );
-                ( "diags",
-                  Arr
-                    (List.map diag_json
-                       (Cccs.Analysis.Diag.Collector.diags collector)) );
-              ]))
-    end;
-    exit (Cccs.Analysis.Diag.Collector.exit_status collector)
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Run the whole-pipeline static verifier (dataflow, schedule, \
-          encoding, decoder, image and certification checks) on one \
-          workload or the whole suite")
-    Term.(const run $ setup_logs $ bench_opt_arg $ all_arg $ pass_arg
-          $ passes_arg $ json_arg)
+                  Logs.err (fun m -> m "lint: unknown pass %S; try --passes" p);
+                  exit 2));
+        Cccs_obs.Json.Null);
+    (* lint's envelope lists every diagnostic flat, not per workload. *)
+    extras =
+      (fun _ collector _ ->
+        counts collector
+        @ [
+            ( "diags",
+              Cccs_obs.Json.Arr
+                (List.map diag_json (Collector.diags collector)) );
+          ]);
+    trailer = (fun out c -> Format.fprintf out "%a@." Collector.pp_summary c);
+  }
 
-let validate_cmd =
-  let bench_opt_arg =
-    let doc = "Workload name (see `cccs list`).  Omit with $(b,--all)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
-  in
-  let all_arg =
-    let doc = "Validate every workload in the suite." in
-    Arg.(value & flag & info [ "all" ] ~doc)
-  in
-  let json_arg =
-    let doc =
-      "Emit one machine-readable JSON report (schema $(b,cccs-validate/1)) \
-       on stdout; the human-readable report moves to stderr."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
+let validate =
   let resync_arg =
     let doc =
       "Blocks per scheme to put through the single-bit-flip \
@@ -633,409 +667,228 @@ let validate_cmd =
     in
     Arg.(value & opt int 4 & info [ "resync-blocks" ] ~docv:"N" ~doc)
   in
-  let run () bench all json resync_blocks =
-    let entries =
-      if all then Workloads.Suite.all
-      else
-        match bench with
-        | Some b -> [ find_workload b ]
-        | None ->
-            Logs.err (fun m -> m "validate: give a BENCH or --all");
-            exit 2
-    in
-    let out = if json then Format.err_formatter else Format.std_formatter in
-    let rc = Cccs_obs.Recorder.create () in
+  let check (resync_blocks, rc) out collector r =
     let obs = Cccs_obs.Recorder.sink rc in
-    let any_error = ref false in
-    let workloads_json =
-      List.map
-        (fun (e : Workloads.Suite.entry) ->
-          let r = Cccs.Workload_run.load e in
-          let t = Cccs.Analysis.target_of_run r in
-          let workload = t.Cccs.Analysis.Pass.workload in
-          let program =
-            match t.Cccs.Analysis.Pass.program with
-            | Some p -> p
-            | None -> assert false (* target_of_run always sets it *)
-          in
-          Format.fprintf out "%s:@." workload;
-          let schemes_json =
-            List.map
-              (fun (sc : Encoding.Scheme.t) ->
-                let name = sc.Encoding.Scheme.name in
-                let t0 = Unix.gettimeofday () in
-                let diags, summary =
-                  Cccs_obs.Sink.timed ~obs ~stage:Cccs_obs.Event.Decoder_gen
-                    ~label:("validate." ^ name) (fun () ->
-                      Cccs.Analysis.Image_check.check_scheme ~workload ~program
-                        ?tailored:t.Cccs.Analysis.Pass.tailored ~resync_blocks
-                        sc)
-                in
-                let seconds = Unix.gettimeofday () -. t0 in
-                if List.exists Cccs.Analysis.Diag.is_error diags then
-                  any_error := true;
-                List.iter
-                  (fun d ->
-                    Format.fprintf out "%s@." (Cccs.Analysis.Diag.to_string d))
-                  diags;
-                let open Cccs.Analysis.Image_check in
-                (match summary.resync with
-                | Some rs ->
-                    Cccs_obs.Sink.gauge ~obs
-                      (Printf.sprintf "validate.%s.%s.resync_max_distance"
-                         workload name)
-                      (float_of_int rs.max_distance);
-                    Cccs_obs.Sink.gauge ~obs
-                      (Printf.sprintf "validate.%s.%s.resync_silent_flips"
-                         workload name)
-                      (float_of_int rs.silent_flips)
-                | None -> ());
-                Format.fprintf out
-                  "  %-10s %3d blocks %5d ops  %d error(s) %d warning(s)%s \
-                   %.3fs@."
-                  name summary.blocks summary.ops summary.errors
-                  summary.warnings
-                  (match summary.resync with
-                  | Some rs ->
-                      Printf.sprintf "  resync worst %d cw, %d/%d silent"
-                        rs.max_distance rs.silent_flips rs.flips_analyzed
-                  | None -> "")
-                  seconds;
-                let open Cccs_obs.Json in
-                Obj
-                  [
-                    ("name", Str name);
-                    ("blocks", int summary.blocks);
-                    ("ops", int summary.ops);
-                    ("errors", int summary.errors);
-                    ("warnings", int summary.warnings);
-                    ( "resync",
-                      match summary.resync with
-                      | None -> Null
-                      | Some rs ->
-                          Obj
-                            [
-                              ("blocks_analyzed", int rs.blocks_analyzed);
-                              ("flips_analyzed", int rs.flips_analyzed);
-                              ("silent_flips", int rs.silent_flips);
-                              ("max_distance", int rs.max_distance);
-                              ("worst_block", int rs.worst_block);
-                            ] );
-                    ("seconds", Num seconds);
-                    ("diags", Arr (List.map diag_json diags));
-                  ])
-              t.Cccs.Analysis.Pass.schemes
-          in
-          Cccs_obs.Json.Obj
-            [
-              ("name", Cccs_obs.Json.Str workload);
-              ("schemes", Cccs_obs.Json.Arr schemes_json);
-            ])
-        entries
-    in
-    if json then
-      print_endline
-        (Cccs_obs.Json.to_string
-           (Cccs_obs.Json.Obj
-              [
-                ("schema", Cccs_obs.Json.Str "cccs-validate/1");
-                ("ok", Cccs_obs.Json.Bool (not !any_error));
-                ("events", Cccs_obs.Json.int (Cccs_obs.Recorder.length rc));
-                ("workloads", Cccs_obs.Json.Arr workloads_json);
-              ]))
-    else
-      Format.fprintf out "validate: %s@."
-        (if !any_error then "FAILED" else "clean");
-    exit (if !any_error then 1 else 0)
+    let t = Cccs.Analysis.target_of_run r in
+    let workload = t.Cccs.Analysis.Pass.workload in
+    let program = r.Cccs.Workload_run.compiled.Cccs.Pipeline.program in
+    Format.fprintf out "%s:@." workload;
+    workload_json workload
+      (List.map
+         (fun (sc : Encoding.Scheme.t) ->
+           let name = sc.Encoding.Scheme.name in
+           let t0 = Unix.gettimeofday () in
+           let diags, summary =
+             Cccs_obs.Sink.timed ~obs ~stage:Cccs_obs.Event.Decoder_gen
+               ~label:("validate." ^ name) (fun () ->
+                 Cccs.Analysis.Image_check.check_scheme ~workload ~program
+                   ?tailored:t.Cccs.Analysis.Pass.tailored ~resync_blocks sc)
+           in
+           let seconds = Unix.gettimeofday () -. t0 in
+           collect out collector diags;
+           let open Cccs.Analysis.Image_check in
+           Option.iter
+             (fun rs ->
+               let gauge what v =
+                 Cccs_obs.Sink.gauge ~obs
+                   (Printf.sprintf "validate.%s.%s.%s" workload name what)
+                   (float_of_int v)
+               in
+               gauge "resync_max_distance" rs.max_distance;
+               gauge "resync_silent_flips" rs.silent_flips)
+             summary.resync;
+           Format.fprintf out
+             "  %-10s %3d blocks %5d ops  %d error(s) %d warning(s)%s %.3fs@."
+             name summary.blocks summary.ops summary.errors summary.warnings
+             (match summary.resync with
+             | Some rs ->
+                 Printf.sprintf "  resync worst %d cw, %d/%d silent"
+                   rs.max_distance rs.silent_flips rs.flips_analyzed
+             | None -> "")
+             seconds;
+           let open Cccs_obs.Json in
+           Obj
+             [
+               ("name", Str name);
+               ("blocks", int summary.blocks);
+               ("ops", int summary.ops);
+               ("errors", int summary.errors);
+               ("warnings", int summary.warnings);
+               ( "resync",
+                 opt_json
+                   (fun rs ->
+                     Obj
+                       [
+                         ("blocks_analyzed", int rs.blocks_analyzed);
+                         ("flips_analyzed", int rs.flips_analyzed);
+                         ("silent_flips", int rs.silent_flips);
+                         ("max_distance", int rs.max_distance);
+                         ("worst_block", int rs.worst_block);
+                       ])
+                   summary.resync );
+               ("seconds", Num seconds);
+               ("diags", Arr (List.map diag_json diags));
+             ])
+         t.Cccs.Analysis.Pass.schemes)
   in
-  Cmd.v
-    (Cmd.info "validate"
-       ~doc:
-         "Re-decode every scheme's ROM image with an independent abstract \
-          decoder (published tables only), recover block boundaries and the \
-          CFG, and check round-trip, ATB mappability, dense-map ranges, \
-          frame guards and resynchronization distance")
-    Term.(const run $ setup_logs $ bench_opt_arg $ all_arg $ json_arg
-          $ resync_arg)
+  {
+    cmd = "validate";
+    schema = "cccs-validate/1";
+    doc =
+      "Re-decode every scheme's ROM image with an independent abstract \
+       decoder (published tables only), recover block boundaries and the \
+       CFG, and check round-trip, ATB mappability, dense-map ranges, frame \
+       guards and resynchronization distance";
+    (* The event recorder lives for one invocation; its length is the
+       envelope's "events" field. *)
+    setup =
+      Term.(
+        const (fun n -> (n, Cccs_obs.Recorder.create ())) $ resync_arg);
+    check;
+    extras =
+      (fun (_, rc) _ workloads ->
+        Cccs_obs.Json.
+          [
+            ("events", int (Cccs_obs.Recorder.length rc));
+            ("workloads", Arr workloads);
+          ]);
+    trailer =
+      (fun out c ->
+        Format.fprintf out "validate: %s@."
+          (if Collector.exit_status c = 0 then "clean" else "FAILED"));
+  }
 
-let certify_cmd =
-  let bench_opt_arg =
-    let doc = "Workload name (see `cccs list`).  Omit with $(b,--all)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
+let certify =
+  let check () out collector r =
+    let t = Cccs.Analysis.target_of_run r in
+    let workload = t.Cccs.Analysis.Pass.workload in
+    Format.fprintf out "%s:@." workload;
+    workload_json workload
+      (List.map
+         (fun (sc : Encoding.Scheme.t) ->
+           let diags, cert =
+             Cccs.Analysis.Certify.certify_scheme ~workload
+               ?program:t.Cccs.Analysis.Pass.program sc
+           in
+           collect out collector diags;
+           let open Cccs.Analysis.Certify in
+           let bits = Option.fold ~none:"-" ~some:string_of_int in
+           Format.fprintf out
+             "  %-10s %s  %d book(s)  worst op %s bits, worst block %d/%s \
+              bits@."
+             cert.scheme
+             (if cert.ok then "certified" else "FAILED")
+             (List.length cert.books) (bits cert.worst_op_bits)
+             cert.worst_block_bits
+             (bits cert.worst_block_bound);
+           List.iter
+             (fun b ->
+               Format.fprintf out
+                 "    book %-10s %5d syms  dfa %5d states  lut %5d+%-5d  \
+                  resync %s  syncword %s@."
+                 b.book b.symbols b.dfa_states b.lut_root_checked
+                 b.lut_sub_checked
+                 (match b.resync_bits with
+                 | Some n -> string_of_int n ^ " bits"
+                 | None -> "unbounded")
+                 (match b.sync_word_bits with
+                 | Some n -> "<=" ^ string_of_int n ^ " bits"
+                 | None -> "none"))
+             cert.books;
+           let open Cccs_obs.Json in
+           let book_json b =
+             Obj
+               [
+                 ("book", Str b.book);
+                 ("symbols", int b.symbols);
+                 ("max_code_len", int b.max_code_len);
+                 ("dfa_states", int b.dfa_states);
+                 ("complete", Bool b.complete);
+                 ("worst_bits", int b.worst_bits);
+                 ("lut_root_checked", int b.lut_root_checked);
+                 ("lut_sub_checked", int b.lut_sub_checked);
+                 ("recoverable", Bool b.recoverable);
+                 ("resync_bits", opt_json int b.resync_bits);
+                 ("sync_word_bits", opt_json int b.sync_word_bits);
+               ]
+           in
+           Obj
+             [
+               ("name", Str cert.scheme);
+               ("ok", Bool cert.ok);
+               ("errors", int cert.errors);
+               ("warnings", int cert.warnings);
+               ("worst_op_bits", opt_json int cert.worst_op_bits);
+               ("worst_block_bits", int cert.worst_block_bits);
+               ("worst_block_bound", opt_json int cert.worst_block_bound);
+               ("blocks_checked", int cert.blocks_checked);
+               ("books", Arr (List.map book_json cert.books));
+               ("diags", Arr (List.map diag_json diags));
+             ])
+         t.Cccs.Analysis.Pass.schemes)
   in
-  let all_arg =
-    let doc = "Certify every workload in the suite." in
-    Arg.(value & flag & info [ "all" ] ~doc)
-  in
-  let json_arg =
-    let doc =
-      "Emit one machine-readable certificate (schema $(b,cccs-certify/1)) \
-       on stdout; the human-readable report moves to stderr."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let run () bench all json =
-    let entries =
-      if all then Workloads.Suite.all
-      else
-        match bench with
-        | Some b -> [ find_workload b ]
-        | None ->
-            Logs.err (fun m -> m "certify: give a BENCH or --all");
-            exit 2
-    in
-    let out = if json then Format.err_formatter else Format.std_formatter in
-    let collector = Cccs.Analysis.Diag.Collector.create () in
-    let opt_int f = function None -> Cccs_obs.Json.Null | Some v -> f v in
-    let workloads_json =
-      List.map
-        (fun (e : Workloads.Suite.entry) ->
-          let r = Cccs.Workload_run.load e in
-          let t = Cccs.Analysis.target_of_run r in
-          let workload = t.Cccs.Analysis.Pass.workload in
-          Format.fprintf out "%s:@." workload;
-          let schemes_json =
-            List.map
-              (fun (sc : Encoding.Scheme.t) ->
-                let diags, cert =
-                  Cccs.Analysis.Certify.certify_scheme ~workload
-                    ?program:t.Cccs.Analysis.Pass.program sc
-                in
-                Cccs.Analysis.Diag.Collector.add_list collector diags;
-                List.iter
-                  (fun d ->
-                    Format.fprintf out "%s@." (Cccs.Analysis.Diag.to_string d))
-                  diags;
-                let open Cccs.Analysis.Certify in
-                Format.fprintf out
-                  "  %-10s %s  %d book(s)  worst op %s bits, worst block \
-                   %d/%s bits@."
-                  cert.scheme
-                  (if cert.ok then "certified" else "FAILED")
-                  (List.length cert.books)
-                  (match cert.worst_op_bits with
-                  | Some w -> string_of_int w
-                  | None -> "-")
-                  cert.worst_block_bits
-                  (match cert.worst_block_bound with
-                  | Some b -> string_of_int b
-                  | None -> "-");
-                List.iter
-                  (fun b ->
-                    Format.fprintf out
-                      "    book %-10s %5d syms  dfa %5d states  lut \
-                       %5d+%-5d  resync %s  syncword %s@."
-                      b.book b.symbols b.dfa_states b.lut_root_checked
-                      b.lut_sub_checked
-                      (match b.resync_bits with
-                      | Some n -> string_of_int n ^ " bits"
-                      | None -> "unbounded")
-                      (match b.sync_word_bits with
-                      | Some n -> "<=" ^ string_of_int n ^ " bits"
-                      | None -> "none"))
-                  cert.books;
-                let open Cccs_obs.Json in
-                Obj
-                  [
-                    ("name", Str cert.scheme);
-                    ("ok", Bool cert.ok);
-                    ("errors", int cert.errors);
-                    ("warnings", int cert.warnings);
-                    ("worst_op_bits", opt_int int cert.worst_op_bits);
-                    ("worst_block_bits", int cert.worst_block_bits);
-                    ("worst_block_bound", opt_int int cert.worst_block_bound);
-                    ("blocks_checked", int cert.blocks_checked);
-                    ( "books",
-                      Arr
-                        (List.map
-                           (fun b ->
-                             Obj
-                               [
-                                 ("book", Str b.book);
-                                 ("symbols", int b.symbols);
-                                 ("max_code_len", int b.max_code_len);
-                                 ("dfa_states", int b.dfa_states);
-                                 ("complete", Bool b.complete);
-                                 ("worst_bits", int b.worst_bits);
-                                 ("lut_root_checked", int b.lut_root_checked);
-                                 ("lut_sub_checked", int b.lut_sub_checked);
-                                 ("recoverable", Bool b.recoverable);
-                                 ("resync_bits", opt_int int b.resync_bits);
-                                 ( "sync_word_bits",
-                                   opt_int int b.sync_word_bits );
-                               ])
-                           cert.books) );
-                    ("diags", Arr (List.map diag_json diags));
-                  ])
-              t.Cccs.Analysis.Pass.schemes
-          in
-          Cccs_obs.Json.Obj
-            [
-              ("name", Cccs_obs.Json.Str workload);
-              ("schemes", Cccs_obs.Json.Arr schemes_json);
-            ])
-        entries
-    in
-    let ok = Cccs.Analysis.Diag.Collector.exit_status collector = 0 in
-    if json then
-      print_endline
-        (Cccs_obs.Json.to_string
-           (Cccs_obs.Json.Obj
-              [
-                ("schema", Cccs_obs.Json.Str "cccs-certify/1");
-                ("ok", Cccs_obs.Json.Bool ok);
-                ( "errors",
-                  Cccs_obs.Json.int
-                    (Cccs.Analysis.Diag.Collector.errors collector) );
-                ( "warnings",
-                  Cccs_obs.Json.int
-                    (Cccs.Analysis.Diag.Collector.warnings collector) );
-                ("workloads", Cccs_obs.Json.Arr workloads_json);
-              ]))
-    else
-      Format.fprintf out "certify: %s (%a)@."
-        (if ok then "certified" else "FAILED")
-        Cccs.Analysis.Diag.Collector.pp_summary collector;
-    exit (Cccs.Analysis.Diag.Collector.exit_status collector)
-  in
-  Cmd.v
-    (Cmd.info "certify"
-       ~doc:
-         "Prove decoder properties by exhaustive enumeration over each \
-          published codebook's decode automaton: decode totality, \
-          bit-exact Huffman LUT equivalence, resynchronization bounds, \
-          and certified worst-case block sizes from each scheme's decode \
-          model")
-    Term.(const run $ setup_logs $ bench_opt_arg $ all_arg $ json_arg)
+  {
+    cmd = "certify";
+    schema = "cccs-certify/1";
+    doc =
+      "Prove decoder properties by exhaustive enumeration over each \
+       published codebook's decode automaton: decode totality, bit-exact \
+       Huffman LUT equivalence, resynchronization bounds, and certified \
+       worst-case block sizes from each scheme's decode model";
+    setup = Term.const ();
+    check;
+    extras = counts_and_workloads;
+    trailer = verdict "certify" "certified";
+  }
 
-let wcet_cmd =
-  let bench_opt_arg =
-    let doc = "Workload name (see `cccs list`).  Omit with $(b,--all)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"BENCH" ~doc)
+let wcet =
+  let wcet_json (w : Cccs.Analysis.Timing_check.wcet) =
+    let open Cccs.Analysis.Timing_check in
+    let open Cccs_obs.Json in
+    [
+      ("name", Str w.scheme);
+      ("model", Str (model_name w.model));
+      ("bound", int w.bound);
+      ("sim_cycles", opt_json int w.sim_cycles);
+      ("ratio", opt_json (fun f -> Num f) w.ratio);
+      ("blocks", int w.blocks);
+      ("reachable", int w.reachable);
+      ("always_hit", int w.always_hit);
+      ("always_miss", int w.always_miss);
+      ("unclassified", int w.unclassified);
+      ("atb_always_hit", int w.atb_always_hit);
+      ("charged_visits", int w.charged_visits);
+      ("trace_bounds", Bool w.trace_bounds);
+    ]
   in
-  let all_arg =
-    let doc = "Analyze every workload in the suite." in
-    Arg.(value & flag & info [ "all" ] ~doc)
+  let check () out collector r =
+    let workload = r.Cccs.Workload_run.name in
+    let results = Cccs.Analysis.wcet_run r in
+    List.iter
+      (fun (diags, _) -> collect ~show:Diag.is_error out collector diags)
+      results;
+    Cccs.Report.wcet out [ (workload, List.filter_map snd results) ];
+    workload_json workload
+      (List.map
+         (fun (diags, w) ->
+           let open Cccs_obs.Json in
+           let fields = Option.fold ~none:[ ("bound", Null) ] ~some:wcet_json w in
+           Obj (fields @ [ ("diags", Arr (List.map diag_json diags)) ]))
+         results)
   in
-  let json_arg =
-    let doc =
-      "Emit one machine-readable report (schema $(b,cccs-wcet/1)) on \
-       stdout; the human-readable report moves to stderr."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let run () bench all json =
-    let entries =
-      if all then Workloads.Suite.all
-      else
-        match bench with
-        | Some b -> [ find_workload b ]
-        | None ->
-            Logs.err (fun m -> m "wcet: give a BENCH or --all");
-            exit 2
-    in
-    let out = if json then Format.err_formatter else Format.std_formatter in
-    let collector = Cccs.Analysis.Diag.Collector.create () in
-    let workloads_json =
-      List.map
-        (fun (e : Workloads.Suite.entry) ->
-          let r = Cccs.Workload_run.load e in
-          let workload = r.Cccs.Workload_run.name in
-          let results = Cccs.Analysis.wcet_run r in
-          let rows =
-            List.filter_map
-              (fun (diags, w) ->
-                Cccs.Analysis.Diag.Collector.add_list collector diags;
-                List.iter
-                  (fun d ->
-                    if Cccs.Analysis.Diag.is_error d then
-                      Format.fprintf out "%s@."
-                        (Cccs.Analysis.Diag.to_string d))
-                  diags;
-                w)
-              results
-          in
-          Cccs.Report.wcet out [ (workload, rows) ];
-          let schemes_json =
-            List.map2
-              (fun (diags, w) _ ->
-                let open Cccs_obs.Json in
-                let base =
-                  match w with
-                  | None -> [ ("bound", Null) ]
-                  | Some (w : Cccs.Analysis.Timing_check.wcet) ->
-                      [
-                        ("name", Str w.Cccs.Analysis.Timing_check.scheme);
-                        ( "model",
-                          Str
-                            (Cccs.Analysis.Timing_check.model_name
-                               w.Cccs.Analysis.Timing_check.model) );
-                        ("bound", int w.Cccs.Analysis.Timing_check.bound);
-                        ( "sim_cycles",
-                          match w.Cccs.Analysis.Timing_check.sim_cycles with
-                          | Some c -> int c
-                          | None -> Null );
-                        ( "ratio",
-                          match w.Cccs.Analysis.Timing_check.ratio with
-                          | Some f -> Num f
-                          | None -> Null );
-                        ("blocks", int w.Cccs.Analysis.Timing_check.blocks);
-                        ( "reachable",
-                          int w.Cccs.Analysis.Timing_check.reachable );
-                        ( "always_hit",
-                          int w.Cccs.Analysis.Timing_check.always_hit );
-                        ( "always_miss",
-                          int w.Cccs.Analysis.Timing_check.always_miss );
-                        ( "unclassified",
-                          int w.Cccs.Analysis.Timing_check.unclassified );
-                        ( "atb_always_hit",
-                          int w.Cccs.Analysis.Timing_check.atb_always_hit );
-                        ( "charged_visits",
-                          int w.Cccs.Analysis.Timing_check.charged_visits );
-                        ( "trace_bounds",
-                          Bool w.Cccs.Analysis.Timing_check.trace_bounds );
-                      ]
-                in
-                Obj (base @ [ ("diags", Arr (List.map diag_json diags)) ]))
-              results results
-          in
-          Cccs_obs.Json.Obj
-            [
-              ("name", Cccs_obs.Json.Str workload);
-              ("schemes", Cccs_obs.Json.Arr schemes_json);
-            ])
-        entries
-    in
-    let ok = Cccs.Analysis.Diag.Collector.exit_status collector = 0 in
-    if json then
-      print_endline
-        (Cccs_obs.Json.to_string
-           (Cccs_obs.Json.Obj
-              [
-                ("schema", Cccs_obs.Json.Str "cccs-wcet/1");
-                ("ok", Cccs_obs.Json.Bool ok);
-                ( "errors",
-                  Cccs_obs.Json.int
-                    (Cccs.Analysis.Diag.Collector.errors collector) );
-                ( "warnings",
-                  Cccs_obs.Json.int
-                    (Cccs.Analysis.Diag.Collector.warnings collector) );
-                ("workloads", Cccs_obs.Json.Arr workloads_json);
-              ]))
-    else
-      Format.fprintf out "wcet: %s (%a)@."
-        (if ok then "bounded" else "FAILED")
-        Cccs.Analysis.Diag.Collector.pp_summary collector;
-    exit (Cccs.Analysis.Diag.Collector.exit_status collector)
-  in
-  Cmd.v
-    (Cmd.info "wcet"
-       ~doc:
-         "Static WCET fetch-timing analysis: must/may cache abstract \
-          interpretation over each scheme's recovered CFG, cycle bounds \
-          charged from Table 1, and a simulator replay that must observe \
-          cycles within the bound")
-    Term.(const run $ setup_logs $ bench_opt_arg $ all_arg $ json_arg)
+  {
+    cmd = "wcet";
+    schema = "cccs-wcet/1";
+    doc =
+      "Static WCET fetch-timing analysis: must/may cache abstract \
+       interpretation over each scheme's recovered CFG, cycle bounds \
+       charged from Table 1, and a simulator replay that must observe \
+       cycles within the bound";
+    setup = Term.const ();
+    check;
+    extras = counts_and_workloads;
+    trailer = verdict "wcet" "bounded";
+  }
 
 let faults_cmd =
   let flips_arg =
@@ -1757,10 +1610,10 @@ let () =
       decoder_cmd;
       trace_cmd;
       verify_cmd;
-      lint_cmd;
-      validate_cmd;
-      certify_cmd;
-      wcet_cmd;
+      checker_cmd lint;
+      checker_cmd validate;
+      checker_cmd certify;
+      checker_cmd wcet;
       faults_cmd;
       fuzz_cmd;
       perfdiff_cmd;

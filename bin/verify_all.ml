@@ -3,11 +3,12 @@
    For each workload: compile, execute, differentially check the scheduled
    VLIW program against the sequential reference interpreter (identical
    memory, identical control-flow trace), check that every encoding scheme
-   decodes the ROM back to the identical program, run the static verifier
-   (Cccs.Analysis) over the CFG, schedule, encodings and decoder — the
-   decoder certification pass (CCCS-E2xx) gets its own per-row column —
-   and run the trace-backed WCET analysis, whose bound must dominate the
-   simulator replay on every scheme (bound/simulated ratio >= 1).
+   decodes the ROM back to the identical program, run each registered
+   static-verifier pass (Cccs.Analysis) once — the image validator and the
+   decoder certification pass (CCCS-E2xx) also get their own columns, read
+   from their own findings — run a CRC-protected fault campaign, and run
+   the trace-backed WCET analysis, whose bound must dominate the simulator
+   replay on every scheme (bound/simulated ratio >= 1).
 
    This is the long-form version of what `dune runtest` samples; CI or a
    release check can run it directly:  dune exec bin/verify_all.exe
@@ -16,133 +17,14 @@
    single machine-readable JSON object (schema "cccs-verify/1") that CI
    archives as an artifact.  Exit codes are identical in both modes. *)
 
+module Json = Cccs_obs.Json
+module Diag = Cccs.Analysis.Diag
+
 let json_mode = Array.exists (( = ) "--json") Sys.argv
 
 (* Human-readable output; demoted to stderr in --json mode so stdout stays
    pure JSON. *)
 let out = if json_mode then stderr else stdout
-
-type row = {
-  name : string;
-  mem_ok : bool;
-  trace_ok : bool;
-  schemes_ok : bool;
-  lint_ok : bool;
-  lint_warnings : int;
-  validate_ok : bool;
-  validate_failed : string list;
-      (* schemes the image-level translation validator rejected *)
-  certify_ok : bool;
-  certify_failed : string list;
-      (* schemes the decoder certification pass rejected (CCCS-E2xx) *)
-  faults_ok : bool;
-  faults_detected : int;
-  wcet_ok : bool;
-  wcet_failed : string list;
-      (* schemes with an unsound or missing bound (CCCS-E3xx / ratio<1) *)
-  wcet_min_ratio : float option;
-      (* worst bound/simulated ratio across schemes; sound means >= 1 *)
-  seconds : float;
-  perf_trend : string;
-      (* vs the last ledgered sweep: "+NN%" / "-NN%" / "~" / "n/a" *)
-  seconds_baseline : float option;
-}
-
-(* The per-row column table — THE single declarative source for the human
-   row cells, the check summary, the JSON `checks` object and the overall
-   verdict.  Adding a pass means adding one entry here; nothing else can
-   drift.  [gates] distinguishes pass/fail checks from informational
-   columns (perf-trend), which print but never fail the sweep. *)
-type column = {
-  label : string;  (* summary / JSON key, e.g. "decoder-certify" *)
-  cell : string;  (* short name in the per-workload row line *)
-  gates : bool;
-  ok_of : row -> bool;
-  show : row -> string;
-}
-
-let flag ok = if ok then "OK" else "FAIL"
-
-let flag_schemes ok failed =
-  if ok then "OK" else "FAIL[" ^ String.concat "," failed ^ "]"
-
-let columns =
-  [
-    {
-      label = "differential-memory";
-      cell = "mem";
-      gates = true;
-      ok_of = (fun r -> r.mem_ok);
-      show = (fun r -> flag r.mem_ok);
-    };
-    {
-      label = "differential-trace";
-      cell = "trace";
-      gates = true;
-      ok_of = (fun r -> r.trace_ok);
-      show = (fun r -> flag r.trace_ok);
-    };
-    {
-      label = "scheme-decode-back";
-      cell = "schemes";
-      gates = true;
-      ok_of = (fun r -> r.schemes_ok);
-      show = (fun r -> flag r.schemes_ok);
-    };
-    {
-      label = "static-lint";
-      cell = "lint";
-      gates = true;
-      ok_of = (fun r -> r.lint_ok);
-      show = (fun r -> flag r.lint_ok);
-    };
-    {
-      label = "image-validate";
-      cell = "validate";
-      gates = true;
-      ok_of = (fun r -> r.validate_ok);
-      show = (fun r -> flag_schemes r.validate_ok r.validate_failed);
-    };
-    {
-      label = "decoder-certify";
-      cell = "certify";
-      gates = true;
-      ok_of = (fun r -> r.certify_ok);
-      show = (fun r -> flag_schemes r.certify_ok r.certify_failed);
-    };
-    {
-      label = "fault-protection";
-      cell = "faults";
-      gates = true;
-      ok_of = (fun r -> r.faults_ok);
-      show =
-        (fun r ->
-          Printf.sprintf "%s(%d det)" (flag r.faults_ok) r.faults_detected);
-    };
-    {
-      label = "wcet-bound";
-      cell = "wcet";
-      gates = true;
-      ok_of = (fun r -> r.wcet_ok);
-      show =
-        (fun r ->
-          if not r.wcet_ok then flag_schemes false r.wcet_failed
-          else
-            match r.wcet_min_ratio with
-            | Some m -> Printf.sprintf "OK(x%.2f)" m
-            | None -> "OK");
-    };
-    {
-      label = "perf-trend";
-      cell = "perf";
-      gates = false;
-      ok_of = (fun _ -> true);
-      show = (fun r -> r.perf_trend);
-    };
-  ]
-
-let gating = List.filter (fun c -> c.gates) columns
-let row_ok r = List.for_all (fun c -> c.ok_of r) gating
 
 (* Fixed seed of the per-workload fault campaign; echoed in the JSON so a
    consumer can reproduce the exact campaign outside this sweep. *)
@@ -199,176 +81,228 @@ let trend_of ~name ~seconds =
           (label, Some base_s)
       | _ -> ("n/a", None))
 
-(* Per-workload report lines go through [emit] so a parallel sweep can
-   buffer each workload's output and print it in suite order after the
-   gather; at jobs=1 [emit] writes straight to [out] as before. *)
+(* What the columns read about one workload; the costly parts are
+   computed once, on first use. *)
+type subject = {
+  run : Cccs.Workload_run.run;
+  target : Cccs.Analysis.Pass.target;
+  differential : (bool * bool) Lazy.t;  (* memory ok, trace ok *)
+  findings : (string * Diag.t list) list Lazy.t;
+      (* every registered pass's diagnostics, by pass name, in order *)
+  seconds : float Lazy.t;  (* the row's wall clock, read once at its end *)
+  emit : string -> unit;
+      (* per-workload report lines: a parallel sweep buffers each
+         workload's output and prints it in suite order after the gather;
+         at jobs=1 it writes straight to [out] *)
+}
+
+(* One workload's verdict in one column: pass/fail, the text after the
+   column's name in the row line, and the column's fields in the row's
+   JSON object (after "<cell>_ok" for a gating column). *)
+type cell = { ok : bool; show : string; fields : (string * Json.t) list }
+
+(* The column table — THE single declarative source for the row line, the
+   check summary, the JSON row and `checks` object, and the overall
+   verdict.  Adding a check means adding one entry here.  Columns run in
+   order, so their diagnostics print in that order and perf-trend, last,
+   times the whole row.  [gates] separates pass/fail checks from
+   informational columns (perf-trend), which print but never fail the
+   sweep. *)
+type column = {
+  label : string;  (* summary / JSON key, e.g. "decoder-certify" *)
+  cell : string;  (* short name in the row line and JSON field prefix *)
+  gates : bool;
+  check : subject -> cell;
+}
+
+let flag ok = if ok then "OK" else "FAIL"
+
+let flag_schemes ok failed =
+  if ok then "OK" else "FAIL[" ^ String.concat "," failed ^ "]"
+
+let strs l = Json.Arr (List.map (fun s -> Json.Str s) l)
+let num_opt = Option.fold ~none:Json.Null ~some:(fun f -> Json.Num f)
+let plain ok = { ok; show = flag ok; fields = [] }
+
+let emit_diags s =
+  List.iter (fun d -> Printf.ksprintf s.emit "  %s\n" (Diag.to_string d))
+
+(* A pass's own column: it fails on that pass's errors and names the
+   schemes they are attributed to. *)
+let pass_column ~label ~cell (module P : Cccs.Analysis.Pass.S) =
+  let check s =
+    let errors =
+      List.filter Diag.is_error (List.assoc P.name (Lazy.force s.findings))
+    in
+    let failed =
+      List.sort_uniq compare
+        (List.filter_map (fun (d : Diag.t) -> d.Diag.loc.Diag.scheme) errors)
+    in
+    let ok = errors = [] in
+    {
+      ok;
+      show = flag_schemes ok failed;
+      fields = [ (cell ^ "_failed", strs failed) ];
+    }
+  in
+  { label; cell; gates = true; check }
+
+let decode_back s =
+  let prog = s.run.Cccs.Workload_run.compiled.Cccs.Pipeline.program in
+  plain
+    (List.for_all
+       (fun sc ->
+         match Encoding.Scheme.verify sc prog with
+         | () -> true
+         | exception Failure msg ->
+             Printf.ksprintf s.emit "  decode-back: %s\n" msg;
+             false)
+       s.target.Cccs.Analysis.Pass.schemes)
+
+let lint s =
+  let diags = List.concat_map snd (Lazy.force s.findings) in
+  let errors = List.filter Diag.is_error diags in
+  emit_diags s errors;
+  {
+    (plain (errors = [])) with
+    fields =
+      [ ("lint_warnings", Json.int (List.length diags - List.length errors)) ];
+  }
+
+(* Fixed-seed protected fault campaign: CRC framing must detect every
+   exposed flip (zero silent corruptions) and must actually be exercised
+   (nonzero detections). *)
+let faults s =
+  let t =
+    Cccs.Faults.run
+      {
+        Cccs.Faults.bench = s.run.Cccs.Workload_run.name;
+        seed = fault_seed;
+        flips = 16;
+        retries = 2;
+        protection = Encoding.Scheme.Crc8;
+      }
+  in
+  let detected =
+    List.fold_left
+      (fun a (x : Cccs.Faults.scheme_report) ->
+        a + x.Cccs.Faults.rom.Cccs.Faults.detected
+        + x.Cccs.Faults.table.Cccs.Faults.detected
+        + x.Cccs.Faults.cache.Cccs.Faults.detected)
+      0 t.Cccs.Faults.rows
+  in
+  let ok =
+    List.for_all (fun x -> Cccs.Faults.silent_total x = 0) t.Cccs.Faults.rows
+    && detected > 0
+  in
+  {
+    ok;
+    show = Printf.sprintf "%s(%d det)" (flag ok) detected;
+    fields = [ ("faults_detected", Json.int detected) ];
+  }
+
+(* Trace-backed WCET with the simulator-replay soundness checks: every
+   scheme must get a finite bound and the replay must land within it
+   (bound/simulated ratio >= 1, CCCS-E30x clean). *)
+let wcet s =
+  let failed = ref [] and min_ratio = ref None in
+  List.iter
+    (fun (diags, w) ->
+      let errs = List.filter Diag.is_error diags in
+      emit_diags s errs;
+      match w with
+      | None ->
+          let scheme =
+            List.find_map (fun (d : Diag.t) -> d.Diag.loc.Diag.scheme) diags
+          in
+          failed := Option.value scheme ~default:"?" :: !failed
+      | Some (w : Cccs.Analysis.Timing_check.wcet) -> (
+          let ratio = w.Cccs.Analysis.Timing_check.ratio in
+          if not (errs = [] && Option.fold ratio ~none:false ~some:(( <= ) 1.0))
+          then failed := w.Cccs.Analysis.Timing_check.scheme :: !failed;
+          match ratio with
+          | Some f ->
+              min_ratio := Some (Option.fold !min_ratio ~none:f ~some:(min f))
+          | None -> ()))
+    (Cccs.Analysis.wcet_run s.run);
+  let ok = !failed = [] and failed = List.sort_uniq compare !failed in
+  {
+    ok;
+    show =
+      (match !min_ratio with
+      | Some m when ok -> Printf.sprintf "OK(x%.2f)" m
+      | _ -> flag_schemes ok failed);
+    fields =
+      [
+        ("wcet_failed", strs failed);
+        ("wcet_min_ratio", num_opt !min_ratio);
+      ];
+  }
+
+let perf s =
+  let seconds = Lazy.force s.seconds in
+  let trend, baseline =
+    trend_of ~name:s.run.Cccs.Workload_run.name ~seconds
+  in
+  {
+    ok = true;
+    show = trend;
+    fields =
+      [
+        ("seconds", Json.Num seconds);
+        ("perf_trend", Json.Str trend);
+        ("seconds_baseline", num_opt baseline);
+      ];
+  }
+
+let gate label cell check = { label; cell; gates = true; check }
+
+let columns =
+  [
+    gate "differential-memory" "mem" (fun s ->
+        plain (fst (Lazy.force s.differential)));
+    gate "differential-trace" "trace" (fun s ->
+        plain (snd (Lazy.force s.differential)));
+    gate "scheme-decode-back" "schemes" decode_back;
+    gate "static-lint" "lint" lint;
+    pass_column ~label:"image-validate" ~cell:"validate"
+      Cccs.Analysis.Image_check.pass;
+    pass_column ~label:"decoder-certify" ~cell:"certify"
+      Cccs.Analysis.Certify.pass;
+    gate "fault-protection" "faults" faults;
+    gate "wcet-bound" "wcet" wcet;
+    { label = "perf-trend"; cell = "perf"; gates = false; check = perf };
+  ]
+
+let gating = List.filter (fun c -> c.gates) columns
+
+type row = { name : string; seconds : float; cells : (column * cell) list }
+
+let cell_ok c row = (List.assq c row.cells).ok
+let row_ok row = List.for_all (fun c -> cell_ok c row) gating
+
 let check_workload ~emit (e : Workloads.Suite.entry) =
   let t0 = Unix.gettimeofday () in
   let r = Cccs.Workload_run.load e in
+  let target = Cccs.Analysis.target_of_run r in
+  let s =
+    {
+      run = r;
+      target;
+      differential = lazy (Cccs.Workload_run.differential r);
+      findings =
+        lazy
+          (List.map
+             (fun (module P : Cccs.Analysis.Pass.S) -> (P.name, P.run target))
+             Cccs.Analysis.passes);
+      seconds = lazy (Unix.gettimeofday () -. t0);
+      emit;
+    }
+  in
+  let cells = List.map (fun c -> (c, c.check s)) columns in
   let c = r.Cccs.Workload_run.compiled in
   let prog = c.Cccs.Pipeline.program in
   let res = r.Cccs.Workload_run.exec in
-  let ref_res =
-    Emulator.Ref_interp.run ~max_blocks:3_000_000 c.Cccs.Pipeline.alloc_cfg
-  in
-  let mem_ok =
-    Emulator.Ref_interp.mem_checksum ref_res
-    = Emulator.Machine.mem_checksum res.Emulator.Exec.machine
-  in
-  let trace_ok =
-    Emulator.Trace.to_array res.Emulator.Exec.trace
-    = Emulator.Trace.to_array ref_res.Emulator.Ref_interp.trace
-  in
-  let schemes_ok =
-    try
-      List.iter
-        (fun build -> Encoding.Scheme.verify (build prog) prog)
-        [
-          Encoding.Baseline.build;
-          Encoding.Byte_huffman.build;
-          Encoding.Full_huffman.build;
-          Encoding.Tailored.build;
-          Encoding.Dictionary.build;
-          (fun p -> Encoding.Stream_huffman.build p);
-        ];
-      true
-    with Failure _ -> false
-  in
-  (* Fixed-seed protected fault campaign: CRC framing must detect every
-     exposed flip (zero silent corruptions) and must actually be exercised
-     (nonzero detections). *)
-  let faults_ok, faults_detected =
-    let t =
-      Cccs.Faults.run
-        {
-          Cccs.Faults.bench = r.Cccs.Workload_run.name;
-          seed = fault_seed;
-          flips = 16;
-          retries = 2;
-          protection = Encoding.Scheme.Crc8;
-        }
-    in
-    let detected =
-      List.fold_left
-        (fun a (x : Cccs.Faults.scheme_report) ->
-          a + x.Cccs.Faults.rom.Cccs.Faults.detected
-          + x.Cccs.Faults.table.Cccs.Faults.detected
-          + x.Cccs.Faults.cache.Cccs.Faults.detected)
-        0 t.Cccs.Faults.rows
-    in
-    let no_sdc =
-      List.for_all
-        (fun x -> Cccs.Faults.silent_total x = 0)
-        t.Cccs.Faults.rows
-    in
-    (no_sdc && detected > 0, detected)
-  in
-  let diags = Cccs.Analysis.lint_run r in
-  let lint_errors = List.filter Cccs.Analysis.Diag.is_error diags in
-  let lint_ok = lint_errors = [] in
-  (* The image-level translation validator attributes its findings to a
-     scheme; the per-scheme column shows exactly which ROMs failed. *)
-  let validate_failed =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (d : Cccs.Analysis.Diag.t) ->
-           d.Cccs.Analysis.Diag.loc.Cccs.Analysis.Diag.scheme)
-         lint_errors)
-  in
-  let validate_ok = validate_failed = [] in
-  (* The decoder certification pass has its own code family (CCCS-E2xx);
-     its column proves the decode automata rather than the built image. *)
-  let certify_errors =
-    List.filter
-      (fun (d : Cccs.Analysis.Diag.t) ->
-        String.length d.Cccs.Analysis.Diag.code >= 7
-        && String.sub d.Cccs.Analysis.Diag.code 0 7 = "CCCS-E2")
-      lint_errors
-  in
-  let certify_failed =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (d : Cccs.Analysis.Diag.t) ->
-           d.Cccs.Analysis.Diag.loc.Cccs.Analysis.Diag.scheme)
-         certify_errors)
-  in
-  let certify_ok = certify_errors = [] in
-  List.iter
-    (fun d ->
-      Printf.ksprintf emit "  %s\n" (Cccs.Analysis.Diag.to_string d))
-    lint_errors;
-  (* Trace-backed WCET with the simulator-replay soundness checks: every
-     scheme must get a finite bound and the replay must land within it
-     (bound/simulated ratio >= 1, CCCS-E30x clean). *)
-  let wcet_ok, wcet_failed, wcet_min_ratio =
-    let results = Cccs.Analysis.wcet_run r in
-    let failed = ref [] and min_ratio = ref None in
-    List.iter
-      (fun (diags, w) ->
-        let scheme_of_diags () =
-          match
-            List.find_map
-              (fun (d : Cccs.Analysis.Diag.t) ->
-                d.Cccs.Analysis.Diag.loc.Cccs.Analysis.Diag.scheme)
-              diags
-          with
-          | Some s -> s
-          | None -> "?"
-        in
-        let errs = List.filter Cccs.Analysis.Diag.is_error diags in
-        List.iter
-          (fun d ->
-            Printf.ksprintf emit "  %s\n" (Cccs.Analysis.Diag.to_string d))
-          errs;
-        match w with
-        | None -> failed := scheme_of_diags () :: !failed
-        | Some (w : Cccs.Analysis.Timing_check.wcet) ->
-            let sound =
-              errs = []
-              &&
-              match w.Cccs.Analysis.Timing_check.ratio with
-              | Some f -> f >= 1.0
-              | None -> false
-            in
-            if not sound then
-              failed := w.Cccs.Analysis.Timing_check.scheme :: !failed;
-            match w.Cccs.Analysis.Timing_check.ratio with
-            | Some f ->
-                min_ratio :=
-                  Some
-                    (match !min_ratio with
-                    | None -> f
-                    | Some m -> min m f)
-            | None -> ())
-      results;
-    (!failed = [], List.sort_uniq compare !failed, !min_ratio)
-  in
-  let seconds = Unix.gettimeofday () -. t0 in
-  let perf_trend, seconds_baseline =
-    trend_of ~name:r.Cccs.Workload_run.name ~seconds
-  in
-  let row =
-    {
-      name = r.Cccs.Workload_run.name;
-      mem_ok;
-      trace_ok;
-      schemes_ok;
-      lint_ok;
-      lint_warnings = List.length diags - List.length lint_errors;
-      validate_ok;
-      validate_failed;
-      certify_ok;
-      certify_failed;
-      faults_ok;
-      faults_detected;
-      wcet_ok;
-      wcet_failed;
-      wcet_min_ratio;
-      seconds;
-      perf_trend;
-      seconds_baseline;
-    }
-  in
   Printf.ksprintf emit
     "%-12s blocks=%5d ops=%6d ilp=%4.2f hoist=%4d | dyn_ops=%8d visits=%7d \
      %s |%s | %.2fs\n"
@@ -383,42 +317,25 @@ let check_workload ~emit (e : Workloads.Suite.entry) =
     | Emulator.Exec.Halted -> "halt"
     | Emulator.Exec.Budget_exhausted -> "BUDGET")
     (String.concat ""
-       (List.map (fun col -> " " ^ col.cell ^ " " ^ col.show row) columns))
-    seconds;
-  row
+       (List.map (fun (col, x) -> " " ^ col.cell ^ " " ^ x.show) cells))
+    (Lazy.force s.seconds);
+  { name = r.Cccs.Workload_run.name; seconds = Lazy.force s.seconds; cells }
+
+let row_json row =
+  Json.Obj
+    (("name", Json.Str row.name)
+    :: List.concat_map
+         (fun (col, x) ->
+           if col.gates then (col.cell ^ "_ok", Json.Bool x.ok) :: x.fields
+           else x.fields)
+         row.cells)
 
 let json_report ~jobs rows ok =
-  let open Cccs_obs.Json in
-  let row_json r =
-    Obj
-      [
-        ("name", Str r.name);
-        ("mem_ok", Bool r.mem_ok);
-        ("trace_ok", Bool r.trace_ok);
-        ("schemes_ok", Bool r.schemes_ok);
-        ("lint_ok", Bool r.lint_ok);
-        ("lint_warnings", int r.lint_warnings);
-        ("validate_ok", Bool r.validate_ok);
-        ( "validate_failed",
-          Arr (List.map (fun s -> Str s) r.validate_failed) );
-        ("certify_ok", Bool r.certify_ok);
-        ("certify_failed", Arr (List.map (fun s -> Str s) r.certify_failed));
-        ("faults_ok", Bool r.faults_ok);
-        ("faults_detected", int r.faults_detected);
-        ("wcet_ok", Bool r.wcet_ok);
-        ("wcet_failed", Arr (List.map (fun s -> Str s) r.wcet_failed));
-        ( "wcet_min_ratio",
-          match r.wcet_min_ratio with None -> Null | Some f -> Num f );
-        ("seconds", Num r.seconds);
-        ("perf_trend", Str r.perf_trend);
-        ( "seconds_baseline",
-          match r.seconds_baseline with None -> Null | Some s -> Num s );
-      ]
-  in
+  let open Json in
   let check_json c =
     let failed =
       List.filter_map
-        (fun r -> if c.ok_of r then None else Some (Str r.name))
+        (fun r -> if cell_ok c r then None else Some (Str r.name))
         rows
     in
     (c.label, Obj [ ("pass", Bool (failed = [])); ("failed", Arr failed) ])
@@ -463,7 +380,7 @@ let () =
   flush out;
   let total = List.length rows in
   let summary c =
-    let failed = List.filter (fun r -> not (c.ok_of r)) rows in
+    let failed = List.filter (fun r -> not (cell_ok c r)) rows in
     Printf.fprintf out "check %-22s %d/%d pass%s\n" c.label
       (total - List.length failed)
       total
@@ -473,7 +390,14 @@ let () =
   in
   Printf.fprintf out "\n";
   List.iter summary gating;
-  let warn = List.fold_left (fun acc r -> acc + r.lint_warnings) 0 rows in
+  let warn =
+    List.fold_left
+      (fun acc r ->
+        match Json.member "lint_warnings" (row_json r) with
+        | Some (Json.Num n) -> acc + int_of_float n
+        | _ -> acc)
+      0 rows
+  in
   if warn > 0 then
     Printf.fprintf out "static-lint warnings: %d (non-fatal)\n" warn;
   let ok = List.for_all row_ok rows in

@@ -48,6 +48,17 @@ let load ?obs (e : Workloads.Suite.entry) =
       Hashtbl.replace cache e.Workloads.Suite.name r;
       r
 
+let differential r =
+  let ref_res =
+    Emulator.Ref_interp.run ~max_blocks:3_000_000
+      r.compiled.Pipeline.alloc_cfg
+  in
+  let exec = r.exec in
+  ( Emulator.Ref_interp.mem_checksum ref_res
+    = Emulator.Machine.mem_checksum exec.Emulator.Exec.machine,
+    Emulator.Trace.to_array exec.Emulator.Exec.trace
+    = Emulator.Trace.to_array ref_res.Emulator.Ref_interp.trace )
+
 let load_spec () = List.map load Workloads.Suite.spec
 let load_all () = List.map load Workloads.Suite.all
 let clear_cache () = Hashtbl.reset (cache ())

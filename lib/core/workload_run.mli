@@ -24,6 +24,12 @@ type run = {
     uncached load of a workload. *)
 val load : ?obs:Cccs_obs.Sink.t -> Workloads.Suite.entry -> run
 
+(** [differential r] — rerun [r]'s register-allocated CFG on the
+    sequential reference interpreter and compare it with the scheduled
+    VLIW execution: [(memory_ok, trace_ok)], identical final memory and
+    identical block-address trace. *)
+val differential : run -> bool * bool
+
 (** [load_spec ()] — the paper's eight-benchmark evaluation set. *)
 val load_spec : unit -> run list
 

@@ -54,5 +54,4 @@ let build program =
           { book = "byte"; max_per_op = Tepic.Format_spec.op_bytes };
       ];
     decode_payload;
-    decode_block = Scheme.block_decoder ~image ~offsets decode_payload;
   }

@@ -147,5 +147,4 @@ let build program =
           };
       ];
     decode_payload;
-    decode_block = Scheme.block_decoder ~image ~offsets decode_payload;
   }

@@ -44,5 +44,4 @@ let build program =
     books = [ ("full", book) ];
     model = [ Scheme.Book_codewords { book = "full"; max_per_op = 1 } ];
     decode_payload;
-    decode_block = Scheme.block_decoder ~image ~offsets decode_payload;
   }

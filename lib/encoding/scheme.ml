@@ -58,7 +58,6 @@ type t = {
   books : (string * Huffman.Codebook.t) list;
   model : code_source list;
   decode_payload : Bits.Reader.t -> int -> Tepic.Op.t list;
-  decode_block : int -> Tepic.Op.t list;
 }
 
 let ratio t ~baseline_bits =
@@ -164,11 +163,22 @@ let decode_block_checked ?image t i =
     | () -> decode_block_checked_at t r i
   end
 
+(* One checked decode per block: [decode_block_checked] already rejects a
+   decoder that raises or that consumes more or fewer bits than the block
+   frame holds, so only the ops are left to compare. *)
 let verify t program =
   let n = Tepic.Program.num_blocks program in
+  if Array.length t.block_offset_bits <> n then
+    failwith
+      (Printf.sprintf "%s: image holds %d blocks, program has %d" t.name
+         (Array.length t.block_offset_bits) n);
   for i = 0 to n - 1 do
     let original = Tepic.Program.block_ops (Tepic.Program.block program i) in
-    let decoded = t.decode_block i in
+    let decoded =
+      match decode_block_checked t i with
+      | Ok ops -> ops
+      | Error e -> failwith (decode_error_to_string e)
+    in
     if List.length original <> List.length decoded then
       failwith
         (Printf.sprintf "%s: block %d decodes to %d ops, expected %d" t.name i
@@ -179,20 +189,7 @@ let verify t program =
           failwith
             (Printf.sprintf "%s: block %d op %d mismatch: %s vs %s" t.name i j
                (Tepic.Op.to_string a) (Tepic.Op.to_string b)))
-      (List.combine original decoded);
-    (* Bit accounting: a decoder that consumes more or fewer bits than the
-       block holds can still return the right ops (over-reading into the
-       next block, or resynchronizing by luck); catch it here. *)
-    let r = Bits.Reader.of_string t.image in
-    Bits.Reader.seek r t.block_offset_bits.(i);
-    ignore (t.decode_payload r i);
-    let consumed = Bits.Reader.pos r - t.block_offset_bits.(i) in
-    let expect = t.block_bits.(i) - t.frame.guard_bits in
-    if consumed <> expect then
-      failwith
-        (Printf.sprintf
-           "%s: block %d decode consumed %d bits, frame holds %d" t.name i
-           consumed expect)
+      (List.combine original decoded)
   done
 
 let build_blocks program encode_block =
@@ -208,14 +205,6 @@ let build_blocks program encode_block =
     ignore (Bits.Writer.align_byte w)
   done;
   (Bits.Writer.contents w, offsets, sizes)
-
-(* [with_image image offsets sizes decode_payload] — the standard decode
-   entry point every builder derives: position a fresh reader on block [i]
-   and run the scheme's payload decoder. *)
-let block_decoder ~image ~offsets decode_payload i =
-  let r = Bits.Reader.of_string image in
-  Bits.Reader.seek r offsets.(i);
-  decode_payload r i
 
 let protect p t =
   match p with
@@ -268,5 +257,4 @@ let protect p t =
             protection_bits = n * (len_bits + gbits);
           };
         decode_payload;
-        decode_block = block_decoder ~image ~offsets decode_payload;
       }

@@ -83,9 +83,6 @@ type t = {
           current position (which need not lie in this scheme's own image:
           fault campaigns decode corrupted copies).  May raise on malformed
           input; {!decode_block_checked} is the total wrapper. *)
-  decode_block : int -> Tepic.Op.t list;
-      (** decompress block [i] of the scheme's own image back to its exact
-          original ops *)
 }
 
 (** [ratio t ~baseline_bits] — code-segment compression ratio (1.0 = no
@@ -135,11 +132,13 @@ val decode_block_checked_at :
     [t] is already protected. *)
 val protect : protection -> t -> t
 
-(** [verify t program] — decode every block and compare with the original
-    ops, and check that the decoder consumed exactly the bits the block
-    frame holds (over/under-consumption can silently mis-decode even when
-    the ops happen to match).  Raises [Failure] with a diagnostic on the
-    first mismatch. *)
+(** [verify t program] — decode every block of [t]'s own image once,
+    through {!decode_block_checked}, and compare with the original ops.
+    The checked decode also rejects a decoder that consumes more or fewer
+    bits than the block frame holds (over/under-consumption can silently
+    mis-decode even when the ops happen to match).  Raises [Failure] with
+    a diagnostic on the first mismatch or decode error, including an
+    exception raised by the decoder itself. *)
 val verify : t -> Tepic.Program.t -> unit
 
 (** [build_blocks program encode_block] — shared image builder: runs
@@ -150,12 +149,3 @@ val build_blocks :
   Tepic.Program.t ->
   (Bits.Writer.t -> Tepic.Op.t list -> unit) ->
   string * int array * int array
-
-(** [block_decoder ~image ~offsets decode_payload] — the standard
-    [decode_block]: seek to block [i] in [image] and run [decode_payload]. *)
-val block_decoder :
-  image:string ->
-  offsets:int array ->
-  (Bits.Reader.t -> int -> Tepic.Op.t list) ->
-  int ->
-  Tepic.Op.t list

@@ -173,5 +173,4 @@ let build ?(config = classic) program =
          books;
        List.rev !srcs);
     decode_payload;
-    decode_block = Scheme.block_decoder ~image ~offsets decode_payload;
   }

@@ -233,7 +233,6 @@ let dummy_scheme ~image ~offsets ~bits =
     books = [];
     model = [];
     decode_payload = (fun _ _ -> []);
-    decode_block = (fun _ -> []);
   }
 
 let test_geometry () =

@@ -108,6 +108,12 @@ let test_empty_memory_rejected () =
     (Invalid_argument "Machine.create: mem_size") (fun () ->
       ignore (Emulator.Machine.create ~mem_size:0 ()))
 
+let verify_raises_failure scheme prog =
+  try
+    Encoding.Scheme.verify scheme prog;
+    false
+  with Failure _ -> true
+
 let test_scheme_verify_catches_mutation () =
   (* Scheme.verify must catch a decoder that returns wrong ops. *)
   let prog = Lazy.force small_program in
@@ -115,20 +121,32 @@ let test_scheme_verify_catches_mutation () =
   let lying =
     {
       s with
-      Encoding.Scheme.decode_block =
-        (fun i ->
-          match s.Encoding.Scheme.decode_block i with
-          | first :: rest -> Tepic.Op.with_tail (not first.Tepic.Op.tail) first :: rest
+      Encoding.Scheme.decode_payload =
+        (fun r i ->
+          match s.Encoding.Scheme.decode_payload r i with
+          | first :: rest ->
+              Tepic.Op.with_tail (not first.Tepic.Op.tail) first :: rest
           | [] -> []);
     }
   in
-  let raised =
-    try
-      Encoding.Scheme.verify lying prog;
-      false
-    with Failure _ -> true
+  Alcotest.(check bool) "mutation detected" true
+    (verify_raises_failure lying prog)
+
+let test_scheme_verify_throwing_decoder () =
+  (* A decoder's own exception (here the reader's Invalid_argument) must
+     reach the caller as Failure, so a sweep that catches Failure fails
+     one check instead of aborting. *)
+  let prog = Lazy.force small_program in
+  let s = Encoding.Baseline.build prog in
+  let throwing =
+    {
+      s with
+      Encoding.Scheme.decode_payload =
+        (fun _ _ -> invalid_arg "Bits.Reader: read past end");
+    }
   in
-  Alcotest.(check bool) "mutation detected" true raised
+  Alcotest.(check bool) "decoder exception becomes Failure" true
+    (verify_raises_failure throwing prog)
 
 let suite =
   [
@@ -142,4 +160,6 @@ let suite =
     Alcotest.test_case "machine memory validation" `Quick test_empty_memory_rejected;
     Alcotest.test_case "verify catches lying decoders" `Quick
       test_scheme_verify_catches_mutation;
+    Alcotest.test_case "verify turns decoder exceptions into Failure" `Quick
+      test_scheme_verify_throwing_decoder;
   ]
