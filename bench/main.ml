@@ -425,49 +425,6 @@ let pass_serial book data nsyms =
   done;
   !acc
 
-(* Faithful replica of the decoder this engine replaced: first-code-per-
-   length walk with an [int option ref] poked once per bit and a
-   polymorphic [<> None] loop test.  Kept here (not in the library) purely
-   as the historical baseline the decode-throughput speedup is quoted
-   against; [read_serial] is the same algorithm after the hot-loop fix. *)
-let seed_decoder book =
-  let canon = Huffman.Codebook.canonical book in
-  let entries = Huffman.Canonical.to_list canon in
-  let max_len = Huffman.Canonical.max_length canon in
-  let first_code = Array.make (max_len + 1) (-1) in
-  let first_index = Array.make (max_len + 1) (-1) in
-  let count_at = Array.make (max_len + 1) 0 in
-  let symbols = Array.of_list (List.map (fun (s, _, _) -> s) entries) in
-  List.iteri
-    (fun i (_, c, l) ->
-      count_at.(l) <- count_at.(l) + 1;
-      if first_code.(l) < 0 then begin
-        first_code.(l) <- c;
-        first_index.(l) <- i
-      end)
-    entries;
-  fun r ->
-    let result = ref None in
-    let acc = ref 0 and len = ref 0 in
-    while !result = None do
-      if !len >= max_len then invalid_arg "seed decoder: invalid code";
-      acc := (!acc lsl 1) lor (if Bits.Reader.read_bit r then 1 else 0);
-      incr len;
-      let fc = first_code.(!len) in
-      let off = !acc - fc in
-      if fc >= 0 && off >= 0 && off < count_at.(!len) then
-        result := Some symbols.(first_index.(!len) + off)
-    done;
-    match !result with Some s -> s | None -> assert false
-
-let pass_seed decode data nsyms =
-  let r = Bits.Reader.of_string data in
-  let acc = ref 0 in
-  for _ = 1 to nsyms do
-    acc := !acc + decode r
-  done;
-  !acc
-
 (* MB/s over the compressed payload for both decoders.  The untimed first
    passes warm both paths and, on the table path, trigger the lazy LUT
    build, so table construction is not billed to decode time (it is
@@ -491,30 +448,25 @@ let window ~expect pass =
 let windows_per_row = 5
 
 let throughput book data nsyms =
-  let seed = seed_decoder book in
   let expect = pass_table book data nsyms in
   if pass_serial book data nsyms <> expect then
     failwith "bench perf: serial/table decode mismatch";
-  if pass_seed seed data nsyms <> expect then
-    failwith "bench perf: seed/table decode mismatch";
   let mb = float_of_int (String.length data) /. 1e6 in
   let window pass = mb *. window ~expect pass in
-  let wt = ref [] and ws = ref [] and w0 = ref [] in
+  let wt = ref [] and ws = ref [] in
   for _ = 1 to windows_per_row do
     wt := window (fun () -> pass_table book data nsyms) :: !wt;
-    ws := window (fun () -> pass_serial book data nsyms) :: !ws;
-    w0 := window (fun () -> pass_seed seed data nsyms) :: !w0
+    ws := window (fun () -> pass_serial book data nsyms) :: !ws
   done;
   let best l = List.fold_left Float.max 0.0 l in
   (* All per-window table readings ride along as "samples" so perfdiff
      can bootstrap a confidence interval instead of trusting one point. *)
-  (best !wt, best !ws, best !w0, List.rev !wt)
+  (best !wt, best !ws, List.rev !wt)
 
 type decode_perf = {
   scheme : string;
   table_mb_s : float;
   serial_mb_s : float;
-  seed_mb_s : float;
   table_windows : float list;
 }
 
@@ -527,10 +479,10 @@ let perf_decode () =
   |> List.map (fun (scheme, sc) ->
          let book = List.assoc scheme sc.Encoding.Scheme.books in
          let data, nsyms = symbol_stream book ~target_bits:(8 * 256 * 1024) in
-         let table_mb_s, serial_mb_s, seed_mb_s, table_windows =
+         let table_mb_s, serial_mb_s, table_windows =
            throughput book data nsyms
          in
-         { scheme; table_mb_s; serial_mb_s; seed_mb_s; table_windows })
+         { scheme; table_mb_s; serial_mb_s; table_windows })
 
 (* ------------------------------------------------------------------ *)
 (* perf/layer: the layers under a whole-image decode, per op.          *)
@@ -538,9 +490,11 @@ let perf_decode () =
 (* program: [of_int] (word to op), [to_int] (op to word) and [decode]  *)
 (* (op read from the baseline image).  [walk/<scheme>] times the       *)
 (* checked block walk of one scheme's image, which includes its symbol *)
-(* decode and op codec.  Every layer runs in the perf/decode windows,  *)
-(* interleaved; a row reports the best window and carries every window *)
-(* as a sample.                                                        *)
+(* decode and op codec.  [image/<scheme>] times the whole-image        *)
+(* [Pipeline.decompress], which adds re-encoding to the baseline       *)
+(* image; each pass checks its output against that image.  Every      *)
+(* layer runs in the perf/decode windows, interleaved; a row reports   *)
+(* the best window and carries every window as a sample.               *)
 (* ------------------------------------------------------------------ *)
 
 type layer_perf = { layer : string; ns_per_op : float; ns_samples : float list }
@@ -557,8 +511,14 @@ let walk_pass (sc : Encoding.Scheme.t) () =
     sc.Encoding.Scheme.block_offset_bits;
   !ops
 
+let image_pass ~truth ~nops (sc : Encoding.Scheme.t) () =
+  match Cccs.Pipeline.decompress sc with
+  | Ok (img, _) -> if String.equal img truth then nops else -1
+  | Error e -> failwith (Encoding.Scheme.decode_error_to_string e)
+
 let perf_layers () =
   let prog = program () in
+  let truth = Tepic.Program.baseline_image prog in
   let ops = Array.of_list (Tepic.Program.all_ops prog) in
   let nops = Array.length ops in
   let words = Array.map Tepic.Encode.to_int ops in
@@ -598,6 +558,10 @@ let perf_layers () =
           nops );
     ]
     @ List.map (fun (name, sc) -> ("walk/" ^ name, walk_pass sc)) schemes
+    @ List.map
+        (fun name ->
+          ("image/" ^ name, image_pass ~truth ~nops (List.assoc name schemes)))
+        [ "base"; "full"; "full+crc16" ]
   in
   List.iter (fun (_, pass) -> ignore (pass ())) layers;
   let samples = List.map (fun (name, _) -> (name, ref [])) layers in
@@ -618,114 +582,8 @@ let perf_layers () =
       })
     samples
 
-(* ------------------------------------------------------------------ *)
-(* perf/pardecode: speculative parallel decode of one compressed image *)
-(* (Cccs.Par_decode).  One scheme per splitting certificate — fixed    *)
-(* widths (base), framed blocks (full+crc16) and the sequential        *)
-(* fallback (full, whose codebook has no finite resync bound) — each   *)
-(* decoded at jobs 1/2/4 and checked byte-for-byte against the 40-bit  *)
-(* baseline image.  The never-lose contract is asserted here: asking   *)
-(* for more jobs than help (including a 1-core runner, where the clamp *)
-(* degrades every decode to the sequential walk) may not cost more     *)
-(* than 15% over jobs=1.  Every row carries the [cores] count so a     *)
-(* reader can tell a genuine scaling datapoint from a clamped one.     *)
-(* ------------------------------------------------------------------ *)
-
-let pardecode_jobs = [ 1; 2; 4 ]
+(* perf/sweep may cost at most this factor over jobs=1 at jobs=4. *)
 let never_lose_factor = 1.15
-
-type pardecode_perf = {
-  p_scheme : string;
-  p_jobs : int;  (* requested *)
-  p_jobs_used : int;  (* after the core-count clamp *)
-  p_strategy : string;
-  p_chunks : int;
-  p_resync_bits : int;
-  p_seconds : float;
-  p_mb_s : float;  (* compressed bytes through the decoder *)
-  p_compressed_bytes : int;
-  p_decoded_bytes : int;
-}
-
-let perf_pardecode () =
-  let prog = program () in
-  let truth = Tepic.Program.baseline_image prog in
-  let full = Encoding.Full_huffman.build prog in
-  let schemes =
-    [
-      ("base", Encoding.Baseline.build prog);
-      ("full", full);
-      ("full+crc16", Encoding.Scheme.protect Encoding.Scheme.Crc16 full);
-    ]
-  in
-  List.concat_map
-    (fun (name, sc) ->
-      (* The splitting certificate is memoized per domain; warm it so DFA
-         analysis is not billed to the first timing window. *)
-      ignore (Cccs.Par_decode.classify sc);
-      let decode jobs =
-        match Cccs.Pipeline.decompress ~jobs sc with
-        | Ok r -> r
-        | Error e ->
-            failwith
-              ("bench perf: pardecode: "
-              ^ Encoding.Scheme.decode_error_to_string e)
-      in
-      let rows =
-        List.map
-          (fun jobs ->
-            let out, rep = decode jobs in
-            if out <> truth then
-              failwith
-                (Printf.sprintf
-                   "bench perf: pardecode %s jobs=%d diverged from the \
-                    baseline image"
-                   name jobs);
-            let window () =
-              let t0 = now () in
-              let reps = ref 0 and elapsed = ref 0.0 in
-              while !elapsed < 0.2 do
-                ignore (decode jobs);
-                incr reps;
-                elapsed := now () -. t0
-              done;
-              !elapsed /. float_of_int !reps
-            in
-            (* Best of three windows: noise only ever slows a window. *)
-            let seconds =
-              List.fold_left Float.min (window ()) [ window (); window () ]
-            in
-            let bytes = String.length sc.Encoding.Scheme.image in
-            {
-              p_scheme = name;
-              p_jobs = jobs;
-              p_jobs_used = rep.Cccs.Par_decode.jobs;
-              p_strategy =
-                Cccs.Par_decode.strategy_name rep.Cccs.Par_decode.strategy;
-              p_chunks = rep.Cccs.Par_decode.chunks;
-              p_resync_bits = rep.Cccs.Par_decode.resync_overhead_bits;
-              p_seconds = seconds;
-              p_mb_s = float_of_int bytes /. seconds /. 1e6;
-              p_compressed_bytes = bytes;
-              p_decoded_bytes = String.length out;
-            })
-          pardecode_jobs
-      in
-      (match rows with
-      | { p_seconds = s1; _ } :: rest ->
-          List.iter
-            (fun r ->
-              if r.p_seconds > (s1 *. never_lose_factor) +. 5e-5 then
-                failwith
-                  (Printf.sprintf
-                     "bench perf: pardecode %s jobs=%d (%.3f ms) lost to \
-                      jobs=1 (%.3f ms) past the %.2fx never-lose bound"
-                     r.p_scheme r.p_jobs (r.p_seconds *. 1e3) (s1 *. 1e3)
-                     never_lose_factor))
-            rest
-      | [] -> ());
-      rows)
-    schemes
 
 (* One cold-cache sweep: fig5 + fig13 for the whole SPEC set in a single
    Parallel.map, so the parallel run duplicates no work against the
@@ -784,7 +642,7 @@ let write_perf_rows ~prefixes rows =
   Printf.printf "wrote %d rows to BENCH_perf.json (%d kept)\n"
     (List.length rows) (List.length existing)
 
-let write_perf decode_rows ~layer_rows ~pardecode_rows ~s1 ~s4 ~cores =
+let write_perf decode_rows ~layer_rows ~s1 ~s4 ~cores =
   let open Cccs_obs.Json in
   let layer_json l =
     Obj
@@ -794,41 +652,19 @@ let write_perf decode_rows ~layer_rows ~pardecode_rows ~s1 ~s4 ~cores =
         ("samples", Arr (List.map (fun x -> Num x) l.ns_samples));
       ]
   in
-  let pardecode_json p =
-    Obj
-      [
-        ( "name",
-          Str (Printf.sprintf "perf/pardecode/%s/jobs%d" p.p_scheme p.p_jobs)
-        );
-        ("mb_per_s", Num p.p_mb_s);
-        ("seconds", Num p.p_seconds);
-        ("strategy", Str p.p_strategy);
-        ("jobs", int p.p_jobs);
-        ("jobs_used", int p.p_jobs_used);
-        ("cores", int cores);
-        ("chunks", int p.p_chunks);
-        ("resync_overhead_bits", int p.p_resync_bits);
-        ("compressed_bytes", int p.p_compressed_bytes);
-        ("decoded_bytes", int p.p_decoded_bytes);
-      ]
-  in
   let decode_json d =
     Obj
       [
         ("name", Str ("perf/decode/" ^ d.scheme));
         ("mb_per_s", Num d.table_mb_s);
         ("serial_mb_per_s", Num d.serial_mb_s);
-        ("seed_mb_per_s", Num d.seed_mb_s);
         ("speedup_vs_serial", Num (d.table_mb_s /. d.serial_mb_s));
-        ("speedup_vs_seed", Num (d.table_mb_s /. d.seed_mb_s));
         ("samples", Arr (List.map (fun x -> Num x) d.table_windows));
       ]
   in
-  let pardecode_json_rows = List.map pardecode_json pardecode_rows in
   let rows =
     List.map decode_json decode_rows
     @ List.map layer_json layer_rows
-    @ pardecode_json_rows
     @ [
         Obj [ ("name", Str "perf/sweep/jobs1"); ("seconds", Num s1) ];
         Obj
@@ -841,18 +677,11 @@ let write_perf decode_rows ~layer_rows ~pardecode_rows ~s1 ~s4 ~cores =
       ]
   in
   write_perf_rows
-    ~prefixes:[ "perf/decode/"; "perf/layer/"; "perf/pardecode/"; "perf/sweep/" ]
+    ~prefixes:[ "perf/decode/"; "perf/layer/"; "perf/sweep/" ]
     rows;
   ledger_append ~kind:"bench_perf"
     ~schemes:(List.map (fun d -> d.scheme) decode_rows)
-    rows;
-  (* The pardecode family also gets its own ledger kind, so `cccs
-     perfdiff --kind bench_pardecode` can track the parallel-decode path
-     in isolation. *)
-  ledger_append ~kind:"bench_pardecode"
-    ~schemes:
-      (List.sort_uniq compare (List.map (fun p -> p.p_scheme) pardecode_rows))
-    pardecode_json_rows
+    rows
 
 let run_perf () =
   Printf.printf "CCCS perf — decode throughput and sweep wall-clock\n%s\n"
@@ -861,28 +690,15 @@ let run_perf () =
   List.iter
     (fun d ->
       Printf.printf
-        "perf/decode/%-6s table %7.1f MB/s | serial %6.1f MB/s (%4.1fx) | \
-         seed %5.1f MB/s (%4.1fx)\n%!"
+        "perf/decode/%-6s table %7.1f MB/s | serial %6.1f MB/s (%4.1fx)\n%!"
         d.scheme d.table_mb_s d.serial_mb_s
-        (d.table_mb_s /. d.serial_mb_s)
-        d.seed_mb_s
-        (d.table_mb_s /. d.seed_mb_s))
+        (d.table_mb_s /. d.serial_mb_s))
     decode_rows;
   let layer_rows = bspan "layer" perf_layers in
   List.iter
     (fun l ->
       Printf.printf "perf/layer/%-18s %8.1f ns/op\n%!" l.layer l.ns_per_op)
     layer_rows;
-  let pardecode_rows = bspan "pardecode" perf_pardecode in
-  List.iter
-    (fun p ->
-      Printf.printf
-        "perf/pardecode/%-10s jobs=%d (used %d)  %7.1f MB/s  %2d chunk%s  \
-         %-10s resync +%d bits\n%!"
-        p.p_scheme p.p_jobs p.p_jobs_used p.p_mb_s p.p_chunks
-        (if p.p_chunks = 1 then " " else "s")
-        p.p_strategy p.p_resync_bits)
-    pardecode_rows;
   let rows1, s1 = bspan "sweep_jobs1" (fun () -> sweep_once ~jobs:1) in
   let rows4, s4 = bspan "sweep_jobs4" (fun () -> sweep_once ~jobs:4) in
   if rows1 <> rows4 then
@@ -892,17 +708,17 @@ let run_perf () =
     "perf/sweep   jobs=1 %6.2fs   jobs=4 %6.2fs   %5.2fx  (%d cores, \
      results identical)\n"
     s1 s4 (s1 /. s4) cores;
-  (* The sweep rides the same never-lose rule as the decode: on a 1-core
-     runner Parallel.map degrades jobs=4 to the sequential walk, so the
-     jobs=4 sweep may never lose to jobs=1 past noise.  (This run used to
-     regress to 0.46x on 1 core before the clamp existed.) *)
+  (* Never lose: on a 1-core runner Parallel.map degrades jobs=4 to the
+     sequential walk, so the jobs=4 sweep may never lose to jobs=1 past
+     noise.  (This run used to regress to 0.46x on 1 core before the
+     clamp existed.) *)
   if s4 > (s1 *. never_lose_factor) +. 0.1 then
     failwith
       (Printf.sprintf
          "bench perf: sweep jobs=4 (%.2fs) lost to jobs=1 (%.2fs) past the \
           %.2fx never-lose bound (%d cores)"
          s4 s1 never_lose_factor cores);
-  write_perf decode_rows ~layer_rows ~pardecode_rows ~s1 ~s4 ~cores
+  write_perf decode_rows ~layer_rows ~s1 ~s4 ~cores
 
 (* ------------------------------------------------------------------ *)
 (* fuzz group: campaign throughput and bounded-memory trace streaming. *)

@@ -143,19 +143,9 @@ let decode_cmd =
   let protect_arg =
     let doc =
       "Wrap the scheme in protected block framing first: $(b,none), \
-       $(b,crc8) or $(b,crc16).  Framed images split at exact frame \
-       boundaries (strategy $(b,frames))."
+       $(b,crc8) or $(b,crc16) (strategy $(b,frames))."
     in
     Arg.(value & opt string "none" & info [ "protect" ] ~docv:"MODE" ~doc)
-  in
-  let jobs_arg =
-    let doc =
-      "Worker domains for the chunked decode (default: CCCS_JOBS).  The \
-       effective count is clamped to the machine's cores and degrades to \
-       1 when the scheme has no splitting certificate — parallel decode \
-       never loses to sequential."
-    in
-    Arg.(value & opt (some int) None & info [ "jobs" ] ~docv:"N" ~doc)
   in
   let out_arg =
     let doc = "Write the decoded 40-bit baseline image to $(docv)." in
@@ -165,7 +155,7 @@ let decode_cmd =
     let doc = "Machine-readable report (schema cccs-decode/1) on stdout." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let run () bench scheme protect jobs out json flame =
+  let run () bench scheme protect out json flame =
     let r = Cccs.Workload_run.load (find_workload bench) in
     let s = Cccs.Experiments.schemes_of r in
     let named =
@@ -199,11 +189,8 @@ let decode_cmd =
       Tepic.Program.baseline_image
         r.Cccs.Workload_run.compiled.Cccs.Pipeline.program
     in
-    (* Warm the splitting certificate (one-time DFA analysis, memoized)
-       so the reported throughput measures the decode itself. *)
-    ignore (Cccs.Par_decode.classify sc);
     let t0 = Unix.gettimeofday () in
-    match Cccs.Pipeline.decompress ?jobs ?obs sc with
+    match Cccs.Pipeline.decompress ?obs sc with
     | Error e ->
         Logs.err (fun m ->
             m "decode: %s" (Encoding.Scheme.decode_error_to_string e));
@@ -239,11 +226,13 @@ let decode_cmd =
                       Cccs_obs.Json.Str
                         (Cccs.Par_decode.strategy_name
                            rep.Cccs.Par_decode.strategy) );
-                    ("jobs", Cccs_obs.Json.int rep.Cccs.Par_decode.jobs);
+                    (* jobs, chunks, min_chunk_bits and
+                       resync_overhead_bits are fixed by the sequential
+                       walk; cccs-decode/1 keeps them. *)
+                    ("jobs", Cccs_obs.Json.int 1);
                     ("cores", Cccs_obs.Json.int (Cccs.Parallel.cores ()));
                     ("chunks", Cccs_obs.Json.int rep.Cccs.Par_decode.chunks);
-                    ( "min_chunk_bits",
-                      Cccs_obs.Json.int rep.Cccs.Par_decode.min_chunk_bits );
+                    ("min_chunk_bits", Cccs_obs.Json.int 0);
                     ( "resync_overhead_bits",
                       Cccs_obs.Json.int
                         rep.Cccs.Par_decode.resync_overhead_bits );
@@ -260,10 +249,10 @@ let decode_cmd =
           Printf.printf "scheme         %s\n" sc.Encoding.Scheme.name;
           Printf.printf "strategy       %s\n"
             (Cccs.Par_decode.strategy_to_string rep.Cccs.Par_decode.strategy);
-          Printf.printf "jobs           %d (of %d core(s))\n"
-            rep.Cccs.Par_decode.jobs (Cccs.Parallel.cores ());
-          Printf.printf "chunks         %d (floor %d bits/chunk)\n"
-            rep.Cccs.Par_decode.chunks rep.Cccs.Par_decode.min_chunk_bits;
+          Printf.printf "jobs           1 (of %d core(s))\n"
+            (Cccs.Parallel.cores ());
+          Printf.printf "chunks         %d (floor 0 bits/chunk)\n"
+            rep.Cccs.Par_decode.chunks;
           Printf.printf "resync bound   %d bits speculative over-read\n"
             rep.Cccs.Par_decode.resync_overhead_bits;
           Printf.printf "decoded        %d bytes from %d compressed (%s)\n"
@@ -279,11 +268,10 @@ let decode_cmd =
     (Cmd.info "decode"
        ~doc:
          "Decompress one scheme's ROM image back to the 40-bit baseline \
-          image, splitting it across worker domains at certified resync \
-          points (or frame/fixed-width boundaries); verifies bit-exactness \
-          against the baseline")
+          image, block by block through the verifying decoder; verifies \
+          bit-exactness against the baseline")
     Term.(const run $ setup_logs $ bench_arg $ scheme_arg $ protect_arg
-          $ jobs_arg $ out_arg $ json_arg $ flame_arg)
+          $ out_arg $ json_arg $ flame_arg)
 
 let perfetto_arg =
   let doc =

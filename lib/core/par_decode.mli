@@ -1,84 +1,48 @@
-(** Speculative parallel decode of a single compressed image.
+(** Whole-image decode: one sequential verified walk over the blocks.
 
-    The image is cut at block boundaries into contiguous chunks, each
-    chunk decoded independently back to the 40-bit baseline encoding, and
-    the per-chunk outputs concatenated in order.  The contract is
-    bit-exact equality with the sequential decode: same output image,
-    and on corrupt input the same typed error ({!Encoding.Scheme.decode_error})
-    at the same bit position — at every jobs count.
+    Every block goes through {!Encoding.Scheme.decode_block_checked_at},
+    the same verifying decode the per-block path uses, so a corrupt image
+    yields the typed error of its first failing block.  The image is not
+    split: the measured gain of a split was within noise (DESIGN §16), so
+    [chunks] is always 1 and [resync_overhead_bits] always 0.  Both are
+    kept because the [cccs-decode/1] schema and the benchmark read them. *)
 
-    Eligibility for splitting is a per-scheme proof obligation, answered
-    by {!classify}; schemes without a certificate decode in one chunk
-    through the identical code path (the fallback is trivially
-    bit-exact).  Chunk sizes are cost-model driven
-    ({!Huffman.Par_decode}) and the jobs count is clamped to the core
-    count ({!Parallel}), so a parallel request can degrade to the
-    sequential decode but never lose to it. *)
-
-(** Why (or why not) the image may be split.  [Resync] carries the
-    DFA-certified worst-case resynchronization bound of the scheme's
-    codebooks — the proven cap on speculative over-read per cut. *)
+(** What kind of block boundary the scheme has.  This is a description,
+    not a licence: the walk is the same for every strategy. *)
 type strategy =
   | Frames  (** protected framing: per-block length field + CRC guard *)
   | Fixed  (** every model source is a fixed-width field group *)
-  | Resync of { resync_bits : int }
-      (** unframed Huffman, every book certified recoverable within
-          [resync_bits] bits ({!Cccs_analysis.Decode_dfa.certify_sync}) *)
-  | Sequential of { reason : string }  (** no certificate — one chunk *)
+  | Sequential of { reason : string }
+      (** no self-describing block boundary *)
 
-(** Short machine-readable tag: ["frames"], ["fixed"], ["resync"],
-    ["sequential"]. *)
+(** Short machine-readable tag: ["frames"], ["fixed"], ["sequential"]. *)
 val strategy_name : strategy -> string
 
-(** Human-readable form including the bound or the reason. *)
+(** Human-readable form including the reason. *)
 val strategy_to_string : strategy -> string
 
-(** [classify s] — derive [s]'s splitting certificate.  Protected schemes
-    are [Frames]; book-free schemes with an all-[Fixed_bits] model are
-    [Fixed]; schemes with codebooks are [Resync] iff {e every} book's
-    decode DFA is certified recoverable with a finite resynchronization
-    bound; anything else is [Sequential]. *)
+(** [classify s] — O(1): protected schemes are [Frames]; book-free schemes
+    with an all-[Fixed_bits] model are [Fixed]; anything else (unframed
+    Huffman in particular) is [Sequential]. *)
 val classify : Encoding.Scheme.t -> strategy
 
-(** [resync_overhead_bits ~strategy ~chunks] — certified worst-case
-    speculative over-read of a [chunks]-way split:
-    [(chunks - 1) * resync_bits] under [Resync], [0] otherwise (frame and
-    fixed boundaries are exact). *)
-val resync_overhead_bits : strategy:strategy -> chunks:int -> int
-
-(** What a decode actually did — reported next to every benchmark row. *)
+(** What a decode did. *)
 type report = {
   strategy : strategy;
-  jobs : int;  (** workers used after clamping and degrades *)
-  chunks : int;
-  min_chunk_bits : int;  (** cost-model floor the plan honoured *)
-  resync_overhead_bits : int;
+  chunks : int;  (** always 1 *)
+  resync_overhead_bits : int;  (** always 0 *)
 }
 
-(** [decode ?jobs ?force ?obs ?image s] — decode [s]'s compressed image
-    (or the override [image], e.g. a corrupted copy) back to the 40-bit
-    baseline byte image.
+(** [decode ?obs s] — decode [s]'s compressed image back to the 40-bit
+    baseline byte image, block by block, byte-aligning between blocks.
+    To decode a corrupted copy, pass [{ s with image = copy }].
 
-    [jobs] defaults to {!Parallel.default_jobs}; the effective count is
-    clamped to the core count unless [force] and degrades to [1] when an
-    observer is installed (a shared sink cannot accept concurrent
-    emitters; chunk spans then land on the [Decode] stage sequentially)
-    or when {!classify} yields [Sequential].
-
-    [min_chunk_bits] overrides the cost-model floor (default: derived
-    from a once-per-process calibration probe) — for tests and benchmarks
-    that must force a multi-chunk plan on a small image; production
-    callers should leave it to the cost model, which is what makes the
-    never-lose guarantee hold.
+    With [obs] installed the walk is one [Decode]-stage span labelled
+    with the scheme name.
 
     Returns the decoded image with a {!report}, or the typed error of the
-    first failing block — identical, position included, to what the
-    sequential checked decode reports. *)
+    first failing block. *)
 val decode :
-  ?jobs:int ->
-  ?force:bool ->
   ?obs:Cccs_obs.Sink.t ->
-  ?min_chunk_bits:int ->
-  ?image:string ->
   Encoding.Scheme.t ->
   (string * report, Encoding.Scheme.decode_error) result

@@ -2,8 +2,7 @@
    contract.
 
    The experiment sweeps are embarrassingly parallel across workloads (the
-   fault campaigns across schemes, the parallel image decoder across
-   chunks), so the engine stays small: a pool of worker domains per call,
+   fault campaigns across schemes), so the engine stays small: a pool of worker domains per call,
    a shared atomic work counter, results gathered into a slot array and
    returned in input order.  Nothing about the schedule can leak into the
    output — every slot [i] holds [f items.(i)] and the gather re-reads the
@@ -32,7 +31,7 @@
      builds its own schemes — a deliberate trade of duplicated construction
      for zero shared mutable state (Canonical decode tables are lazily
      built mutable fields and must never be shared across domains unless
-     pre-built before the spawn, as Par_decode does).
+     pre-built before the spawn).
    - [f] must not emit telemetry to a shared sink; callers pass [~jobs:1]
      when an observer is installed.
    - Nested parallel regions degrade to sequential (the worker flag below),

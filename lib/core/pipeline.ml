@@ -101,8 +101,6 @@ let lint (c : compiled) =
     [ Cccs_analysis.Dataflow_check.pass; Cccs_analysis.Schedule_check.pass ]
 
 (* The decompression direction of the pipeline: compiled program -> scheme
-   image -> baseline image.  A thin veneer over Par_decode so every
-   pipeline consumer gets the --jobs plumbing (and the never-lose clamp)
-   without knowing the splitting machinery. *)
-let decompress ?jobs ?force ?obs ?min_chunk_bits scheme =
-  Par_decode.decode ?jobs ?force ?obs ?min_chunk_bits scheme
+   image -> baseline image, through Par_decode's sequential verified walk.
+   [jobs] is accepted and ignored (see the interface). *)
+let decompress ?jobs:_ ?obs scheme = Par_decode.decode ?obs scheme

@@ -88,9 +88,9 @@ let exn_message = function
 
 (* The verifying decode of one block with the reader already positioned on
    the block's first bit.  Factored out of [decode_block_checked] so the
-   chunked parallel decoder (Cccs.Par_decode) walks blocks back-to-back
-   through the exact same checks — a corrupt stream yields the same typed
-   error, at the same bit position, whichever path found it. *)
+   whole-image walk (Cccs.Par_decode) decodes blocks back-to-back through
+   the exact same checks — a corrupt stream yields the same typed error,
+   at the same bit position, whichever path found it. *)
 let decode_block_checked_at t r i =
   let offset = Bits.Reader.pos r in
   let fail reason =
@@ -140,7 +140,7 @@ let decode_block_checked_at t r i =
                   | Ok ops ->
                       (* Step over the already-verified guard word so the
                          cursor rests past the whole framed block — the
-                         invariant the back-to-back chunk walk relies on. *)
+                         invariant the back-to-back image walk relies on. *)
                       Bits.Reader.advance r f.guard_bits;
                       Ok ops
                   | Error _ as e -> e))))

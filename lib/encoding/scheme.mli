@@ -116,10 +116,10 @@ val decode_block_checked :
   ?image:string -> t -> int -> (Tepic.Op.t list, decode_error) result
 
 (** [decode_block_checked_at t r i] — {!decode_block_checked} with the
-    reader [r] already positioned on block [i]'s first bit.  The chunked
-    parallel decoder walks blocks back-to-back through this, so a corrupt
-    stream yields the same typed error at the same bit position as the
-    sequential checked decode.  On [Ok] the cursor rests just past the
+    reader [r] already positioned on block [i]'s first bit.  The
+    whole-image decode walks blocks back-to-back through this, so a
+    corrupt stream yields the same typed error at the same bit position
+    as the per-block checked decode.  On [Ok] the cursor rests just past the
     block's last framed bit (before any byte-alignment padding). *)
 val decode_block_checked_at :
   t -> Bits.Reader.t -> int -> (Tepic.Op.t list, decode_error) result

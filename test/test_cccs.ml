@@ -19,7 +19,7 @@ let () =
       ("certify", Test_certify.suite);
       ("faults", Test_faults.suite);
       ("parallel", Test_parallel.suite);
-      ("pardecode", Test_pardecode.suite);
+      ("decompress", Test_decompress.suite);
       ("obs", Test_obs.suite);
       ("obs_ledger", Test_obs_ledger.suite);
       ("trace_stream", Test_trace_stream.suite);

@@ -1,9 +1,11 @@
 (* Golden tests of the checker subcommands (lint, validate, certify, wcet):
    human and --json stdout on fir and compress against fixtures/cli/, the
    exit codes, the --json stderr (the human report, moved), and the usage
-   error paths.  Runs the built CLI from the test directory, so run it via
-   `dune runtest` (or from _build/default/test).  The only unstable output
-   is validate's per-scheme wall clock, masked on both sides. *)
+   error paths; plus `decode --json` on compress.  Runs the built CLI from
+   the test directory, so run it via `dune runtest` (or from
+   _build/default/test).  The unstable output is masked on both sides:
+   validate's per-scheme wall clock, and decode's timing and the
+   machine's core count. *)
 
 let exe = Filename.concat Filename.parent_dir_name "bin/cccs_cli.exe"
 
@@ -47,6 +49,11 @@ let same_text what ~expected actual =
 let fixture name =
   mask_seconds (read_file (Filename.concat "fixtures/cli" name))
 
+let mask_decode s =
+  s
+  |> Str.global_replace (Str.regexp {|"mb_per_s":[-0-9.eE+]+|}) {|"mb_per_s":0|}
+  |> Str.global_replace (Str.regexp {|"cores":[0-9]+|}) {|"cores":0|}
+
 let golden cmd bench () =
   let base = cmd ^ "_" ^ bench in
   let code, human, human_err = cli [ cmd; bench ] in
@@ -62,6 +69,12 @@ let golden cmd bench () =
     (mask_seconds json_err)
 
 let checkers = [ "lint"; "validate"; "certify"; "wcet" ]
+
+let golden_decode name args () =
+  let code, json, _ = cli ([ "decode"; "compress"; "--json" ] @ args) in
+  Alcotest.(check int) "exit" 0 code;
+  let mask s = mask_decode (mask_seconds s) in
+  same_text name ~expected:(mask (fixture name)) (mask json)
 
 let exits what expected args =
   let code, _, _ = cli args in
@@ -100,5 +113,11 @@ let () =
             Alcotest.test_case "unknown pass exits 2" `Quick test_unknown_pass;
             Alcotest.test_case "lint --passes listing" `Quick
               test_passes_listing;
+            Alcotest.test_case "decode compress base" `Quick
+              (golden_decode "decode_compress_base.json"
+                 [ "--scheme"; "base" ]);
+            Alcotest.test_case "decode compress full+crc16" `Quick
+              (golden_decode "decode_compress_full_crc16.json"
+                 [ "--scheme"; "full"; "--protect"; "crc16" ]);
           ] );
     ]
