@@ -1,13 +1,13 @@
-(* Benchmark harness.
+(* Benchmark harness: one run, no arguments ([--flame FILE] optional).
 
-   Running this executable first regenerates every table and figure of the
-   paper's evaluation (printed as text tables; see EXPERIMENTS.md for the
-   recorded paper-vs-measured comparison), then times the pipeline stage
-   behind each figure with Bechamel — one Test.make per experiment, plus
-   the substrate operations they are built from. *)
-
-open Bechamel
-open Toolkit
+   Measures symbol decode throughput (two-level table vs the bit-serial
+   reference), the layers under a whole-image decode, the experiment sweep
+   wall-clock at jobs=1 vs jobs=4, differential fuzz campaign throughput
+   and bounded-memory trace streaming.  Every measurement is checked
+   against an oracle as it runs; a mismatch fails the run.  The rows are
+   written to BENCH_perf.json (schema "cccs-bench/1") and appended to the
+   ledger as one "bench_perf" entry.  The paper's figures are printed by
+   `cccs all`, not here. *)
 
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures: one small SPEC-like program and one kernel.        *)
@@ -32,26 +32,6 @@ let kernel =
      Cccs.Workload_run.load e)
 
 let program () = (Lazy.force fixture).Cccs.Workload_run.compiled.Cccs.Pipeline.program
-let trace () = (Lazy.force fixture).Cccs.Workload_run.exec.Emulator.Exec.trace
-
-(* ------------------------------------------------------------------ *)
-(* Cross-run plumbing: the telemetry ledger and --flame spans.         *)
-(* ------------------------------------------------------------------ *)
-
-(* Every mode appends its result rows to the ledger (CCCS_LEDGER=off
-   disables), so `cccs perfdiff` can compare consecutive runs. *)
-let ledger_append ~kind ?(schemes = []) ?(meta = []) rows =
-  if Cccs_obs.Ledger.enabled () then
-    try
-      Cccs_obs.Ledger.append
-        ~path:(Cccs_obs.Ledger.default_path ())
-        (Cccs_obs.Ledger.make ~kind
-           ~git_rev:(Cccs_obs.Ledger.git_rev ())
-           ~timestamp:(Unix.gettimeofday ())
-           ~cores:(Cccs.Parallel.cores ())
-           ~jobs:(Cccs.Parallel.default_jobs ())
-           ~schemes ~meta rows)
-    with Sys_error msg -> Printf.eprintf "ledger: %s\n%!" msg
 
 (* --flame FILE: one recorder for the whole run; each phase below wraps
    itself in a Bench-stage span through [bspan]. *)
@@ -75,310 +55,7 @@ let flame_path () =
   !p
 
 (* ------------------------------------------------------------------ *)
-(* One benchmark group per figure.                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Figure 5: the compression schemes themselves. *)
-let bench_fig5 =
-  Test.make_grouped ~name:"fig5" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"byte_huffman"
-        (Staged.stage (fun () -> Encoding.Byte_huffman.build (program ())));
-      Test.make ~name:"full_huffman"
-        (Staged.stage (fun () -> Encoding.Full_huffman.build (program ())));
-      Test.make ~name:"stream_huffman"
-        (Staged.stage (fun () -> Encoding.Stream_huffman.build (program ())));
-      Test.make ~name:"tailored"
-        (Staged.stage (fun () -> Encoding.Tailored.build (program ())));
-    ]
-
-(* Figure 7: ATT generation. *)
-let bench_fig7 =
-  let scheme = lazy (Encoding.Full_huffman.build (program ())) in
-  Test.make_grouped ~name:"fig7" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"att_build"
-        (Staged.stage (fun () ->
-             Encoding.Att.build (Lazy.force scheme) ~line_bits:240 (program ())));
-    ]
-
-(* Figure 10: decoder complexity evaluation. *)
-let bench_fig10 =
-  Test.make_grouped ~name:"fig10" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"decoder_cost"
-        (Staged.stage (fun () -> Huffman.Decoder_cost.transistors ~n:16 ~m:40));
-    ]
-
-(* Figure 13: the fetch simulators. *)
-let bench_fig13 =
-  let mk model cfg scheme =
-    let sch = lazy (scheme (program ())) in
-    let att =
-      lazy
-        (Encoding.Att.build (Lazy.force sch)
-           ~line_bits:cfg.Fetch.Config.line_bits (program ()))
-    in
-    Staged.stage (fun () ->
-        Fetch.Sim.run ~model ~cfg ~scheme:(Lazy.force sch)
-          ~att:(Lazy.force att) (trace ()))
-  in
-  Test.make_grouped ~name:"fig13" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"sim_base"
-        (mk Fetch.Config.Base Fetch.Config.default_base Encoding.Baseline.build);
-      Test.make ~name:"sim_compressed"
-        (mk Fetch.Config.Compressed Fetch.Config.default
-           Encoding.Full_huffman.build);
-      Test.make ~name:"sim_tailored"
-        (mk Fetch.Config.Tailored Fetch.Config.default Encoding.Tailored.build);
-    ]
-
-(* Figure 14 measures the same runs as Figure 13; its distinct cost is the
-   bus transition accounting. *)
-let bench_fig14 =
-  let image = lazy (Encoding.Baseline.build (program ())).Encoding.Scheme.image in
-  Test.make_grouped ~name:"fig14" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"bus_line_flips"
-        (Staged.stage (fun () ->
-             let bus =
-               Fetch.Bus.create Fetch.Config.default ~image:(Lazy.force image)
-             in
-             for line = 0 to 63 do
-               ignore (Fetch.Bus.fetch_line bus line)
-             done;
-             Fetch.Bus.total_flips bus));
-    ]
-
-(* Substrate: the pieces every figure depends on. *)
-let bench_substrate =
-  Test.make_grouped ~name:"substrate" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"baseline_encode"
-        (Staged.stage (fun () -> Tepic.Program.baseline_image (program ())));
-      Test.make ~name:"compile_kernel"
-        (Staged.stage (fun () ->
-             Cccs.Pipeline.compile (Workloads.Kernels.fir ~taps:16 ~samples:16)));
-      Test.make ~name:"emulate_kernel"
-        (Staged.stage (fun () ->
-             Emulator.Exec.run
-               (Lazy.force kernel).Cccs.Workload_run.compiled
-                 .Cccs.Pipeline.program));
-      Test.make ~name:"huffman_codebook_256"
-        (Staged.stage (fun () ->
-             let freq = Huffman.Freq.create () in
-             for i = 0 to 255 do
-               Huffman.Freq.add_many freq i ((i * 37 mod 251) + 1)
-             done;
-             Huffman.Codebook.make ~max_len:12 ~symbol_bits:(fun _ -> 8) freq));
-    ]
-
-(* Extensions: superblock fetch units and gshare prediction. *)
-let bench_extensions =
-  let units = lazy (Fetch.Superblock.form (program ())) in
-  let base = lazy (Encoding.Baseline.build (program ())) in
-  let att =
-    lazy
-      (Encoding.Att.build (Lazy.force base)
-         ~line_bits:Fetch.Config.default_base.Fetch.Config.line_bits
-         (program ()))
-  in
-  Test.make_grouped ~name:"extensions" ~fmt:"%s/%s"
-    [
-      Test.make ~name:"superblock_form"
-        (Staged.stage (fun () -> Fetch.Superblock.form (program ())));
-      Test.make ~name:"superblock_sim"
-        (Staged.stage (fun () ->
-             Fetch.Superblock.run ~model:Fetch.Config.Base
-               ~cfg:Fetch.Config.default_base ~scheme:(Lazy.force base)
-               ~att:(Lazy.force att) (Lazy.force units) (trace ())));
-      Test.make ~name:"gshare_sim"
-        (Staged.stage (fun () ->
-             let cfg =
-               {
-                 Fetch.Config.default_base with
-                 Fetch.Config.predictor = Fetch.Config.Gshare 12;
-               }
-             in
-             Fetch.Sim.run ~model:Fetch.Config.Base ~cfg
-               ~scheme:(Lazy.force base) ~att:(Lazy.force att) (trace ())));
-    ]
-
-(* Translation validator: abstract decode + resync analysis, per
-   scheme × workload, so a validator slowdown shows up in BENCH_obs.json
-   like any other pipeline-stage regression. *)
-let bench_validate =
-  let tests_of run wl =
-    let s = lazy (Cccs.Experiments.schemes_of (Lazy.force run)) in
-    let prog =
-      lazy
-        (Lazy.force run).Cccs.Workload_run.compiled.Cccs.Pipeline.program
-    in
-    let check sc_of =
-      Staged.stage (fun () ->
-          let sl = Lazy.force s in
-          Cccs.Analysis.Image_check.check_scheme ~workload:wl
-            ~program:(Lazy.force prog)
-            ~tailored:sl.Cccs.Experiments.tailored_spec ~resync_blocks:2
-            (sc_of sl))
-    in
-    List.map
-      (fun (name, sc_of) -> Test.make ~name:(wl ^ ":" ^ name) (check sc_of))
-      [
-        ("base", fun (sl : Cccs.Experiments.schemes) -> sl.Cccs.Experiments.base);
-        ("byte", fun sl -> sl.Cccs.Experiments.byte);
-        ("stream", fun sl -> snd (List.hd sl.Cccs.Experiments.streams));
-        ("full", fun sl -> sl.Cccs.Experiments.full);
-        ("tailored", fun sl -> sl.Cccs.Experiments.tailored);
-        ("dict", fun sl -> sl.Cccs.Experiments.dict);
-      ]
-  in
-  Test.make_grouped ~name:"validate" ~fmt:"%s/%s"
-    (tests_of fixture "compress" @ tests_of kernel "fir")
-
-(* Decoder certification: DFA construction + exhaustive totality, LUT and
-   resync proofs per scheme — all static work over the published tables,
-   so its cost is independent of program length and should stay flat. *)
-let bench_certify =
-  let tests_of run wl =
-    let s = lazy (Cccs.Experiments.schemes_of (Lazy.force run)) in
-    let prog =
-      lazy
-        (Lazy.force run).Cccs.Workload_run.compiled.Cccs.Pipeline.program
-    in
-    let check sc_of =
-      Staged.stage (fun () ->
-          Cccs.Analysis.Certify.certify_scheme ~workload:wl
-            ~program:(Lazy.force prog)
-            (sc_of (Lazy.force s)))
-    in
-    List.map
-      (fun (name, sc_of) -> Test.make ~name:(wl ^ ":" ^ name) (check sc_of))
-      [
-        ("base", fun (sl : Cccs.Experiments.schemes) -> sl.Cccs.Experiments.base);
-        ("byte", fun sl -> sl.Cccs.Experiments.byte);
-        ("stream", fun sl -> snd (List.hd sl.Cccs.Experiments.streams));
-        ("full", fun sl -> sl.Cccs.Experiments.full);
-        ("tailored", fun sl -> sl.Cccs.Experiments.tailored);
-        ("dict", fun sl -> sl.Cccs.Experiments.dict);
-      ]
-  in
-  Test.make_grouped ~name:"certify" ~fmt:"%s/%s"
-    (tests_of fixture "compress" @ tests_of kernel "fir")
-
-(* Static fetch-timing analysis: CFG recovery + must/may fixpoint + WCET
-   + the full simulator-replay soundness check, per scheme × workload —
-   the end-to-end cost of one `cccs wcet` row. *)
-let bench_wcet =
-  let tests_of run wl =
-    let s = lazy (Cccs.Experiments.schemes_of (Lazy.force run)) in
-    let prog =
-      lazy
-        (Lazy.force run).Cccs.Workload_run.compiled.Cccs.Pipeline.program
-    in
-    let tr =
-      lazy (Lazy.force run).Cccs.Workload_run.exec.Emulator.Exec.trace
-    in
-    let check sc_of =
-      Staged.stage (fun () ->
-          let sl = Lazy.force s in
-          Cccs.Analysis.Timing_check.analyze_scheme ~workload:wl
-            ~program:(Lazy.force prog)
-            ~tailored:sl.Cccs.Experiments.tailored_spec
-            ~trace:(Lazy.force tr) (sc_of sl))
-    in
-    List.map
-      (fun (name, sc_of) -> Test.make ~name:(wl ^ ":" ^ name) (check sc_of))
-      [
-        ("base", fun (sl : Cccs.Experiments.schemes) -> sl.Cccs.Experiments.base);
-        ("byte", fun sl -> sl.Cccs.Experiments.byte);
-        ("stream", fun sl -> snd (List.hd sl.Cccs.Experiments.streams));
-        ("full", fun sl -> sl.Cccs.Experiments.full);
-        ("tailored", fun sl -> sl.Cccs.Experiments.tailored);
-        ("dict", fun sl -> sl.Cccs.Experiments.dict);
-      ]
-  in
-  Test.make_grouped ~name:"wcet" ~fmt:"%s/%s"
-    (tests_of fixture "compress" @ tests_of kernel "fir")
-
-let all_tests =
-  Test.make_grouped ~name:"cccs" ~fmt:"%s %s"
-    [ bench_fig5; bench_fig7; bench_fig10; bench_fig13; bench_fig14;
-      bench_substrate; bench_extensions; bench_validate; bench_certify;
-      bench_wcet ]
-
-let run_benchmarks () =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  (* Noise fix: the old limit:200 / quota:0.5s / default Geometric 1.01
-     sampling gave some rows so few (and so uniform) run counts that the
-     OLS fit had negative r-square.  A 1s minimum-runtime quota, a higher
-     sample cap and a steeper sampling ratio give the fit real spread;
-     rows that still miss the r-square gate (e.g. certify/compress runs
-     near the quota itself) are marked untrusted below rather than
-     compared. *)
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second 1.0)
-      ~sampling:(`Geometric 1.05) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances all_tests in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Printf.printf "\n%-42s %16s %8s\n" "benchmark" "ns/run" "r^2";
-  Printf.printf "%s\n" (String.make 68 '-');
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.filter_map
-    (fun (name, ols_result) ->
-      let est =
-        match Analyze.OLS.estimates ols_result with
-        | Some (e :: _) -> e
-        | _ -> nan
-      in
-      let r2 =
-        match Analyze.OLS.r_square ols_result with Some r -> r | None -> nan
-      in
-      let trusted = Float.is_finite r2 && r2 >= 0.9 in
-      Printf.printf "%-42s %16.1f %8.3f%s\n" name est r2
-        (if trusted then "" else "  (untrusted)");
-      if Float.is_nan est then None else Some (name, est, r2, trusted))
-    (List.sort compare rows)
-
-(* Machine-readable copy of the table above, archived by CI so timing
-   regressions can be compared across runs. *)
-let write_obs rows =
-  let open Cccs_obs.Json in
-  let row_json (name, ns, r2, trusted) =
-    Obj
-      [
-        ("name", Str name);
-        ("ns_per_run", Num ns);
-        ("r_square", Num r2);
-        ("trusted", Bool trusted);
-      ]
-  in
-  let json_rows = List.map row_json rows in
-  let j =
-    Obj
-      [
-        ("schema", Str "cccs-bench/1");
-        ("results", Arr json_rows);
-      ]
-  in
-  Cccs_obs.Export.write_file "BENCH_obs.json" (to_string j ^ "\n");
-  ledger_append ~kind:"bench" json_rows;
-  Printf.printf "\nwrote %d benchmark rows to BENCH_obs.json\n"
-    (List.length rows)
-
-(* ------------------------------------------------------------------ *)
-(* perf group: decode throughput and sweep wall-clock.                 *)
-(*                                                                     *)
-(* `bench perf` skips the Bechamel suite and measures the two things   *)
-(* the fast decode engine changed: symbol decode throughput (two-level *)
-(* table vs the bit-serial reference) and the experiment sweep         *)
-(* wall-clock at CCCS_JOBS=1 vs 4.  Results land in BENCH_perf.json    *)
-(* (schema "cccs-bench/1") for CI to archive.                          *)
+(* perf/decode: symbol decode throughput, table vs bit-serial.         *)
 (* ------------------------------------------------------------------ *)
 
 let now = Unix.gettimeofday
@@ -439,7 +116,7 @@ let window ~expect pass =
   let t0 = now () in
   let passes = ref 0 and elapsed = ref 0.0 in
   while !elapsed < 0.2 do
-    if pass () <> expect then failwith "bench perf: decode mismatch";
+    if pass () <> expect then failwith "bench: decode mismatch";
     incr passes;
     elapsed := now () -. t0
   done;
@@ -450,7 +127,7 @@ let windows_per_row = 5
 let throughput book data nsyms =
   let expect = pass_table book data nsyms in
   if pass_serial book data nsyms <> expect then
-    failwith "bench perf: serial/table decode mismatch";
+    failwith "bench: serial/table decode mismatch";
   let mb = float_of_int (String.length data) /. 1e6 in
   let window pass = mb *. window ~expect pass in
   let wt = ref [] and ws = ref [] in
@@ -524,7 +201,7 @@ let perf_layers () =
   let words = Array.map Tepic.Encode.to_int ops in
   let image = Tepic.Encode.encode_ops (Array.to_list ops) in
   if Array.map Tepic.Encode.of_int words <> ops then
-    failwith "bench perf: op codec round trip differs";
+    failwith "bench: op codec round trip differs";
   let s = Cccs.Experiments.schemes_of (Lazy.force fixture) in
   let schemes =
     Cccs.Experiments.all_schemes s
@@ -582,6 +259,10 @@ let perf_layers () =
       })
     samples
 
+(* ------------------------------------------------------------------ *)
+(* perf/sweep: the experiment sweep wall-clock at jobs=1 vs jobs=4.    *)
+(* ------------------------------------------------------------------ *)
+
 (* perf/sweep may cost at most this factor over jobs=1 at jobs=4. *)
 let never_lose_factor = 1.15
 
@@ -602,111 +283,15 @@ let sweep_once ~jobs =
   in
   (rows, now () -. t0)
 
-(* BENCH_perf.json is shared by the [perf] and [fuzz] modes: each mode
-   owns the name prefixes it writes and must not clobber the other's rows,
-   so writes go through a read-merge — keep every existing row outside our
-   prefixes, replace the rest. *)
-let write_perf_rows ~prefixes rows =
-  let open Cccs_obs.Json in
-  let starts_with p s =
-    String.length s >= String.length p && String.sub s 0 (String.length p) = p
-  in
-  let existing =
-    if not (Sys.file_exists "BENCH_perf.json") then []
-    else
-      let ic = open_in_bin "BENCH_perf.json" in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match parse s with
-      | Error _ -> []
-      | Ok j -> (
-          match Option.bind (member "results" j) to_list with
-          | Some l ->
-              List.filter
-                (fun r ->
-                  match member "name" r with
-                  | Some (Str n) ->
-                      not (List.exists (fun p -> starts_with p n) prefixes)
-                  | _ -> false)
-                l
-          | None -> [])
-  in
-  let j =
-    Obj
-      [
-        ("schema", Str "cccs-bench/1");
-        ("results", Arr (existing @ rows));
-      ]
-  in
-  Cccs_obs.Export.write_file "BENCH_perf.json" (to_string j ^ "\n");
-  Printf.printf "wrote %d rows to BENCH_perf.json (%d kept)\n"
-    (List.length rows) (List.length existing)
-
-let write_perf decode_rows ~layer_rows ~s1 ~s4 ~cores =
-  let open Cccs_obs.Json in
-  let layer_json l =
-    Obj
-      [
-        ("name", Str ("perf/layer/" ^ l.layer));
-        ("ns_per_op", Num l.ns_per_op);
-        ("samples", Arr (List.map (fun x -> Num x) l.ns_samples));
-      ]
-  in
-  let decode_json d =
-    Obj
-      [
-        ("name", Str ("perf/decode/" ^ d.scheme));
-        ("mb_per_s", Num d.table_mb_s);
-        ("serial_mb_per_s", Num d.serial_mb_s);
-        ("speedup_vs_serial", Num (d.table_mb_s /. d.serial_mb_s));
-        ("samples", Arr (List.map (fun x -> Num x) d.table_windows));
-      ]
-  in
-  let rows =
-    List.map decode_json decode_rows
-    @ List.map layer_json layer_rows
-    @ [
-        Obj [ ("name", Str "perf/sweep/jobs1"); ("seconds", Num s1) ];
-        Obj
-          [
-            ("name", Str "perf/sweep/jobs4");
-            ("seconds", Num s4);
-            ("speedup", Num (s1 /. s4));
-            ("cores", int cores);
-          ];
-      ]
-  in
-  write_perf_rows
-    ~prefixes:[ "perf/decode/"; "perf/layer/"; "perf/sweep/" ]
-    rows;
-  ledger_append ~kind:"bench_perf"
-    ~schemes:(List.map (fun d -> d.scheme) decode_rows)
-    rows
-
-let run_perf () =
-  Printf.printf "CCCS perf — decode throughput and sweep wall-clock\n%s\n"
-    (String.make 68 '-');
-  let decode_rows = bspan "decode" perf_decode in
-  List.iter
-    (fun d ->
-      Printf.printf
-        "perf/decode/%-6s table %7.1f MB/s | serial %6.1f MB/s (%4.1fx)\n%!"
-        d.scheme d.table_mb_s d.serial_mb_s
-        (d.table_mb_s /. d.serial_mb_s))
-    decode_rows;
-  let layer_rows = bspan "layer" perf_layers in
-  List.iter
-    (fun l ->
-      Printf.printf "perf/layer/%-18s %8.1f ns/op\n%!" l.layer l.ns_per_op)
-    layer_rows;
+let sweep_rows () =
   let rows1, s1 = bspan "sweep_jobs1" (fun () -> sweep_once ~jobs:1) in
   let rows4, s4 = bspan "sweep_jobs4" (fun () -> sweep_once ~jobs:4) in
   if rows1 <> rows4 then
-    failwith "bench perf: parallel sweep diverged from sequential";
+    failwith "bench: parallel sweep diverged from sequential";
   let cores = Cccs.Parallel.cores () in
   Printf.printf
     "perf/sweep   jobs=1 %6.2fs   jobs=4 %6.2fs   %5.2fx  (%d cores, \
-     results identical)\n"
+     results identical)\n%!"
     s1 s4 (s1 /. s4) cores;
   (* Never lose: on a 1-core runner Parallel.map degrades jobs=4 to the
      sequential walk, so the jobs=4 sweep may never lose to jobs=1 past
@@ -715,22 +300,28 @@ let run_perf () =
   if s4 > (s1 *. never_lose_factor) +. 0.1 then
     failwith
       (Printf.sprintf
-         "bench perf: sweep jobs=4 (%.2fs) lost to jobs=1 (%.2fs) past the \
+         "bench: sweep jobs=4 (%.2fs) lost to jobs=1 (%.2fs) past the \
           %.2fx never-lose bound (%d cores)"
          s4 s1 never_lose_factor cores);
-  write_perf decode_rows ~layer_rows ~s1 ~s4 ~cores
+  let open Cccs_obs.Json in
+  [
+    Obj [ ("name", Str "perf/sweep/jobs1"); ("seconds", Num s1) ];
+    Obj
+      [
+        ("name", Str "perf/sweep/jobs4");
+        ("seconds", Num s4);
+        ("speedup", Num (s1 /. s4));
+        ("cores", int cores);
+      ];
+  ]
 
 (* ------------------------------------------------------------------ *)
-(* fuzz group: campaign throughput and bounded-memory trace streaming. *)
-(*                                                                     *)
-(* `bench fuzz` measures the differential fuzzing engine (cases/sec    *)
-(* over a fixed-seed campaign) and the streaming trace path: a         *)
-(* two-million-visit trace is written through Trace_stream, replayed   *)
-(* through Fetch.Sim.run_iter without ever materializing the visit     *)
-(* sequence, and the heap is sampled along the way — growth past the   *)
-(* cap (or a result that differs from the direct in-memory iterator)   *)
-(* fails the run.  Rows land in BENCH_perf.json next to the perf       *)
-(* group's.                                                            *)
+(* perf/fuzz and perf/stream: campaign throughput over a fixed seed,   *)
+(* and bounded-memory trace streaming.  A two-million-visit trace is   *)
+(* written through Trace_stream, replayed through Fetch.Sim.run_iter   *)
+(* without ever materializing the visit sequence, and the heap is      *)
+(* sampled along the way — growth past the cap (or a result that       *)
+(* differs from the direct in-memory iterator) fails the run.          *)
 (* ------------------------------------------------------------------ *)
 
 let stream_target_visits = 2_000_000
@@ -740,7 +331,7 @@ let fuzz_campaign_row () =
   let spec = { Cccs_fuzz.Fuzz.default_spec with Cccs_fuzz.Fuzz.runs = 2000 } in
   let r = Cccs_fuzz.Fuzz.run spec in
   if r.Cccs_fuzz.Fuzz.findings <> [] then
-    failwith "bench fuzz: fixed-seed campaign produced findings";
+    failwith "bench: fixed-seed fuzz campaign produced findings";
   let cases = r.Cccs_fuzz.Fuzz.tallies.Cccs_fuzz.Fuzz.cases in
   let cps = float_of_int cases /. r.Cccs_fuzz.Fuzz.seconds in
   Printf.printf "perf/fuzz/campaign   %d cases in %.2fs  (%.0f cases/s)\n%!"
@@ -815,16 +406,16 @@ let stream_rows () =
                       f b)))
         with
         | Ok r -> r
-        | Error e -> failwith ("bench fuzz: " ^ Ts.error_to_string e)
+        | Error e -> failwith ("bench: " ^ Ts.error_to_string e)
       in
       let replay_s = now () -. t0 in
       peak := max !peak (Gc.quick_stat ()).Gc.heap_words;
       let heap_delta = (!peak - heap0) * (Sys.word_size / 8) in
       let bounded = heap_delta <= stream_heap_cap_bytes in
       if !visits <> stream_target_visits then
-        failwith "bench fuzz: streamed replay lost visits";
+        failwith "bench: streamed replay lost visits";
       if streamed <> expect then
-        failwith "bench fuzz: streamed result differs from in-memory replay";
+        failwith "bench: streamed result differs from in-memory replay";
       Printf.printf
         "perf/stream/write    %d visits in %.2fs  (%.1f Mvisits/s, %d bytes)\n"
         stream_target_visits write_s
@@ -839,7 +430,7 @@ let stream_rows () =
         (stream_heap_cap_bytes / 1024 / 1024)
         (if bounded then "" else "  ** OVER CAP **");
       if not bounded then
-        failwith "bench fuzz: streaming replay heap grew past the cap";
+        failwith "bench: streaming replay heap grew past the cap";
       let open Cccs_obs.Json in
       [
         Obj
@@ -863,36 +454,72 @@ let stream_rows () =
           ];
       ])
 
-let run_fuzz_bench () =
+(* ------------------------------------------------------------------ *)
+(* The run: every phase, then BENCH_perf.json and one ledger entry.    *)
+(* ------------------------------------------------------------------ *)
+
+let run () =
   Printf.printf
-    "CCCS fuzz — campaign throughput and streaming simulation\n%s\n"
+    "CCCS bench — decode, decode layers, sweep, fuzz and streaming\n%s\n"
     (String.make 68 '-');
+  let decode_rows = bspan "decode" perf_decode in
+  List.iter
+    (fun d ->
+      Printf.printf
+        "perf/decode/%-6s table %7.1f MB/s | serial %6.1f MB/s (%4.1fx)\n%!"
+        d.scheme d.table_mb_s d.serial_mb_s
+        (d.table_mb_s /. d.serial_mb_s))
+    decode_rows;
+  let layer_rows = bspan "layer" perf_layers in
+  List.iter
+    (fun l ->
+      Printf.printf "perf/layer/%-18s %8.1f ns/op\n%!" l.layer l.ns_per_op)
+    layer_rows;
+  let sweep = sweep_rows () in
   let campaign = bspan "fuzz_campaign" fuzz_campaign_row in
   let streams = bspan "stream" stream_rows in
-  let rows = campaign :: streams in
-  write_perf_rows ~prefixes:[ "perf/fuzz/"; "perf/stream/" ] rows;
-  ledger_append ~kind:"bench_fuzz" rows
+  let open Cccs_obs.Json in
+  let layer_json l =
+    Obj
+      [
+        ("name", Str ("perf/layer/" ^ l.layer));
+        ("ns_per_op", Num l.ns_per_op);
+        ("samples", Arr (List.map (fun x -> Num x) l.ns_samples));
+      ]
+  in
+  let decode_json d =
+    Obj
+      [
+        ("name", Str ("perf/decode/" ^ d.scheme));
+        ("mb_per_s", Num d.table_mb_s);
+        ("serial_mb_per_s", Num d.serial_mb_s);
+        ("speedup_vs_serial", Num (d.table_mb_s /. d.serial_mb_s));
+        ("samples", Arr (List.map (fun x -> Num x) d.table_windows));
+      ]
+  in
+  let rows =
+    List.map decode_json decode_rows
+    @ List.map layer_json layer_rows
+    @ sweep @ (campaign :: streams)
+  in
+  Cccs_obs.Export.write_file "BENCH_perf.json"
+    (to_string (Obj [ ("schema", Str "cccs-bench/1"); ("results", Arr rows) ])
+    ^ "\n");
+  Printf.printf "wrote %d rows to BENCH_perf.json\n" (List.length rows);
+  (* CCCS_LEDGER=off disables the entry; `cccs perfdiff` compares the
+     last two. *)
+  try
+    Cccs_obs.Ledger.record ~kind:"bench_perf"
+      ~jobs:(Cccs.Parallel.default_jobs ())
+      ~schemes:(List.map (fun d -> d.scheme) decode_rows)
+      rows
+  with Sys_error msg -> Printf.eprintf "ledger: %s\n%!" msg
 
 let () =
   let flame = flame_path () in
-  let rc =
-    match flame with
-    | None -> None
-    | Some _ -> Some (Cccs_obs.Recorder.create ())
-  in
-  (match rc with
-  | Some rc -> flame_obs := Some (Cccs_obs.Recorder.sink rc)
-  | None -> ());
-  (if Array.exists (( = ) "fuzz") Sys.argv then
-     bspan "fuzz" run_fuzz_bench
-   else if Array.exists (( = ) "perf") Sys.argv then bspan "perf" run_perf
-   else begin
-     Format.printf
-       "CCCS reproduction — Larin & Conte, MICRO-32 (1999)@.%s@.@."
-       (String.make 78 '=');
-     bspan "figures" (fun () -> Cccs.Report.all Format.std_formatter ());
-     write_obs (bspan "bechamel" run_benchmarks)
-   end);
+  let rc = Option.map (fun _ -> Cccs_obs.Recorder.create ()) flame in
+  flame_obs := Option.map Cccs_obs.Recorder.sink rc;
+  run ();
   match (flame, rc) with
   | Some path, Some rc ->
       let nodes = Cccs_obs.Flame.of_recorder rc in

@@ -31,17 +31,9 @@ let bench_arg =
 
 (* Append one entry to the cross-run ledger (CCCS_LEDGER=off disables);
    never let telemetry bookkeeping fail the measured command itself. *)
-let ledger_append ~kind ?(jobs = 1) ?(schemes = []) ?(meta = []) rows =
-  if Cccs_obs.Ledger.enabled () then
-    try
-      Cccs_obs.Ledger.append
-        ~path:(Cccs_obs.Ledger.default_path ())
-        (Cccs_obs.Ledger.make ~kind
-           ~git_rev:(Cccs_obs.Ledger.git_rev ())
-           ~timestamp:(Unix.gettimeofday ())
-           ~cores:(Cccs.Parallel.cores ())
-           ~jobs ~schemes ~meta rows)
-    with Sys_error msg -> Logs.warn (fun m -> m "ledger: %s" msg)
+let ledger_append ~kind ?jobs ?schemes ?meta rows =
+  try Cccs_obs.Ledger.record ~kind ?jobs ?schemes ?meta rows
+  with Sys_error msg -> Logs.warn (fun m -> m "ledger: %s" msg)
 
 let flame_arg =
   let doc =
@@ -1177,10 +1169,10 @@ let perfdiff_cmd =
   in
   let kind_arg =
     let doc =
-      "Ledger entry kind to compare: $(b,bench), $(b,bench_perf), \
-       $(b,bench_fuzz), $(b,verify_all), $(b,faults) or $(b,fuzz)."
+      "Ledger entry kind to compare: $(b,bench_perf), $(b,verify_all), \
+       $(b,faults) or $(b,fuzz)."
     in
-    Arg.(value & opt string "bench" & info [ "kind" ] ~docv:"KIND" ~doc)
+    Arg.(value & opt string "bench_perf" & info [ "kind" ] ~docv:"KIND" ~doc)
   in
   let threshold_arg =
     let doc =

@@ -403,31 +403,19 @@ let () =
   let ok = List.for_all row_ok rows in
   (* Ledger: one row per workload, so the next sweep's perf-trend column
      (and `cccs perfdiff --kind verify_all`) has this run as baseline. *)
-  if Cccs_obs.Ledger.enabled () then begin
-    let ledger_rows =
-      List.map
-        (fun r ->
-          Cccs_obs.Json.Obj
-            [
-              ("name", Cccs_obs.Json.Str r.name);
-              ("seconds", Cccs_obs.Json.Num r.seconds);
-              ("ok", Cccs_obs.Json.Bool (row_ok r));
-            ])
-        rows
-    in
-    try
-      Cccs_obs.Ledger.append
-        ~path:(Cccs_obs.Ledger.default_path ())
-        (Cccs_obs.Ledger.make ~kind:"verify_all"
-           ~git_rev:(Cccs_obs.Ledger.git_rev ())
-           ~timestamp:(Unix.gettimeofday ())
-           ~cores:(Cccs.Parallel.cores ())
-           ~jobs
-           ~meta:[ ("seed", Cccs_obs.Json.int fault_seed) ]
-           ledger_rows)
-    with Sys_error msg ->
-      Printf.eprintf "verify_all: ledger: %s\n%!" msg
-  end;
+  (try
+     Cccs_obs.Ledger.record ~kind:"verify_all" ~jobs
+       ~meta:[ ("seed", Cccs_obs.Json.int fault_seed) ]
+       (List.map
+          (fun r ->
+            Cccs_obs.Json.Obj
+              [
+                ("name", Cccs_obs.Json.Str r.name);
+                ("seconds", Cccs_obs.Json.Num r.seconds);
+                ("ok", Cccs_obs.Json.Bool (row_ok r));
+              ])
+          rows)
+   with Sys_error msg -> Printf.eprintf "verify_all: ledger: %s\n%!" msg);
   if json_mode then
     print_endline (Cccs_obs.Json.to_string (json_report ~jobs rows ok));
   if ok then Printf.fprintf out "verify_all: all workloads verified\n"

@@ -1,10 +1,10 @@
 (* Self-time attribution over the recorded span stream.
 
    Sink.timed emits one Span per instrumented region, carrying wall-clock
-   (processor-time) start and duration.  Because a region's span is
-   emitted *after* its children's (the child's clock readings are taken
-   strictly inside the parent's), parent/child structure is exactly
-   interval containment — no explicit stack ids are needed.  This module
+   start and duration.  Because a region's span is emitted *after* its
+   children's (the child's clock readings are taken strictly inside the
+   parent's), parent/child structure is exactly interval containment — no
+   explicit stack ids are needed.  This module
    rebuilds that nesting, charges each frame its *exclusive* (self) time
    — duration minus the duration of its direct children — and exports the
    result as collapsed-stack lines (flamegraph.pl / speedscope / inferno

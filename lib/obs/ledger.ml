@@ -8,16 +8,16 @@
    and the `cccs perfdiff` subcommand read consecutive entries out of it
    to answer "did this commit make decode slower?".
 
-   The module is stdlib-only (like the rest of cccs_obs), so wall-clock
-   timestamps and core counts are supplied by the caller; the git
-   revision helper reads .git/HEAD directly instead of shelling out. *)
+   [record] is the one way entry points append: it stamps the entry with
+   the wall clock, the core count and the git revision, which is read
+   from .git/HEAD directly instead of shelling out. *)
 
 let schema = "cccs-ledger/1"
 
 type entry = {
-  kind : string;  (* "bench" | "bench_perf" | "verify_all" | "faults" | ... *)
+  kind : string;  (* "bench_perf" | "verify_all" | "faults" | "fuzz" | ... *)
   git_rev : string;
-  timestamp : float;  (* unix seconds, caller-supplied *)
+  timestamp : float;  (* unix seconds *)
   cores : int;
   jobs : int;
   schemes : string list;
@@ -232,3 +232,14 @@ let git_rev ?(dir = ".") () =
                            | _ -> ());
                     !rev)
           end)
+
+(* ------------------------------------------------------------------ *)
+(* One append per measuring run.  Cores come from the same call as
+   Cccs.Parallel.cores, which this library cannot depend on. *)
+
+let record ~kind ?jobs ?schemes ?meta rows =
+  if enabled () then
+    append ~path:(default_path ())
+      (make ~kind ~git_rev:(git_rev ()) ~timestamp:(Unix.gettimeofday ())
+         ~cores:(Domain.recommended_domain_count ())
+         ?jobs ?schemes ?meta rows)

@@ -2,25 +2,24 @@
     ["cccs-ledger/1"]).
 
     Each measuring entry point (bench, verify_all, faults, fuzz) appends
-    one line per invocation: run kind, git revision, timestamp, machine
-    shape ([cores], [jobs]), the scheme set and the full result rows.
-    {!Compare} and [cccs perfdiff] read consecutive entries back to turn
-    the overwritten BENCH_*.json snapshots into an auditable time
-    series.
+    one line per invocation through {!record}: run kind, git revision,
+    timestamp, machine shape ([cores], [jobs]), the scheme set and the
+    full result rows.  {!Compare} and [cccs perfdiff] read consecutive
+    entries back to turn the overwritten BENCH_*.json snapshots into an
+    auditable time series.
 
-    Stdlib-only: the caller supplies wall-clock timestamps and core
-    counts; {!git_rev} reads [.git/HEAD] directly instead of shelling
-    out. *)
+    {!record} stamps an entry with the wall clock, the machine's core
+    count and the git revision; {!git_rev} reads [.git/HEAD] directly
+    instead of shelling out. *)
 
 val schema : string
 (** ["cccs-ledger/1"] *)
 
 type entry = {
   kind : string;
-      (** ["bench"], ["bench_perf"], ["bench_fuzz"], ["verify_all"],
-          ["faults"], ["fuzz"], ... *)
+      (** ["bench_perf"], ["verify_all"], ["faults"], ["fuzz"], ... *)
   git_rev : string;
-  timestamp : float;  (** unix seconds, caller-supplied *)
+  timestamp : float;  (** unix seconds *)
   cores : int;
   jobs : int;
   schemes : string list;
@@ -65,6 +64,19 @@ val default_path : unit -> string
 (** [false] when [$CCCS_LEDGER] is ["off"] or empty — recording is
     opt-out, and tests use this to stay side-effect free. *)
 val enabled : unit -> bool
+
+(** [record ~kind ?jobs ?schemes ?meta rows] appends one entry to
+    {!default_path} when {!enabled}, stamped with the current
+    {!git_rev}, the wall-clock time and [Domain.recommended_domain_count]
+    as [cores] ([jobs] defaults to 1).  Raises [Sys_error] when the
+    ledger cannot be written; callers report it and carry on. *)
+val record :
+  kind:string ->
+  ?jobs:int ->
+  ?schemes:string list ->
+  ?meta:(string * Json.t) list ->
+  Json.t list ->
+  unit
 
 (** Current git revision by following [.git/HEAD] (worktrees and packed
     refs included); ["unknown"] when [dir] is not inside a repository. *)

@@ -19,19 +19,28 @@ let tee a b = { emit = (fun e -> a.emit e; b.emit e) }
 
 let null = { emit = ignore }
 
-(* Time [f] and emit a span around it.  Wall-clock spans use the processor
-   clock ([Sys.time]) so the library stays stdlib-only; spans are excluded
-   from the determinism contract (see Event). *)
+(* Time [f] and emit a span around it.  Spans are on the wall clock, not
+   process CPU time: CPU time misses a sleep or a wait, and over a
+   Parallel.map it adds up every domain.  [start_us] counts from program
+   start, so it stays small enough for exact microseconds.  Spans are
+   excluded from the determinism contract (see Event). *)
+let epoch = Unix.gettimeofday ()
+
 let timed ?obs ~stage ~label f =
   match obs with
   | None -> f ()
   | Some s ->
-      let t0 = Sys.time () in
+      let t0 = Unix.gettimeofday () in
       let r = f () in
-      let t1 = Sys.time () in
+      let t1 = Unix.gettimeofday () in
       emit s
         (Event.Span
-           { stage; label; start_us = t0 *. 1e6; dur_us = (t1 -. t0) *. 1e6 });
+           {
+             stage;
+             label;
+             start_us = (t0 -. epoch) *. 1e6;
+             dur_us = (t1 -. t0) *. 1e6;
+           });
       r
 
 let gauge ?obs name value =

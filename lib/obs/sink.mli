@@ -22,7 +22,8 @@ val tee : t -> t -> t
 val null : t
 
 (** [timed ?obs ~stage ~label f] — run [f] and, when a sink is installed,
-    emit a wall-clock {!Event.Span} around it ([Sys.time]-based). *)
+    emit a wall-clock {!Event.Span} around it ([Unix.gettimeofday]-based,
+    [start_us] counted from program start). *)
 val timed :
   ?obs:t -> stage:Event.stage -> label:string -> (unit -> 'a) -> 'a
 

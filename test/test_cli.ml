@@ -94,6 +94,20 @@ let test_passes_listing () =
   Alcotest.(check int) "exit" 0 code;
   same_text "lint --passes" ~expected:(fixture "lint_passes.txt") out
 
+(* perfdiff's default --kind is the one the bench run records. *)
+let test_perfdiff_default_kind () =
+  let path = Filename.temp_file "cccs_cli" ".jsonl" in
+  let entry ts =
+    Printf.sprintf
+      {|{"schema":"cccs-ledger/1","kind":"bench_perf","timestamp":%d,"rows":[{"name":"perf/decode/full","mb_per_s":70}]}|}
+      ts
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc (entry 1 ^ "\n" ^ entry 2 ^ "\n"));
+  let code, out, err = cli [ "perfdiff"; "--ledger"; path ] in
+  Sys.remove path;
+  if code <> 0 then Alcotest.failf "exit %d\n%s%s" code out err
+
 let () =
   Alcotest.run "cli"
     [
@@ -113,6 +127,8 @@ let () =
             Alcotest.test_case "unknown pass exits 2" `Quick test_unknown_pass;
             Alcotest.test_case "lint --passes listing" `Quick
               test_passes_listing;
+            Alcotest.test_case "perfdiff default kind" `Quick
+              test_perfdiff_default_kind;
             Alcotest.test_case "decode compress base" `Quick
               (golden_decode "decode_compress_base.json"
                  [ "--scheme"; "base" ]);
